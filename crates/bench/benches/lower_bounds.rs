@@ -1,10 +1,16 @@
-//! E8/E9/E13 timing: the exhaustive CSP search behind the exact
-//! `R_s(n,2)` values, the pigeonhole certificate construction, and the SDP
-//! solve + rounding.
+//! E8/E9/E10/E13 timing: the exhaustive CSP search behind the exact
+//! `R_s(n,2)` values, the pigeonhole certificate construction, the
+//! Theorem 7 density witnesses, and the SDP solve + rounding.
+//!
+//! `density_witness_n24` runs `worst_overlap_one_pair` with the `lower`
+//! pipeline's arguments (`n = 24`, `T = 2²²`, shift stride 5, at most 128
+//! shifts) and times one `∆(h, σ; T)` both period-folded and through the
+//! per-slot `density::naive` reference.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rdv_core::channel::ChannelSet;
-use rdv_lower::{exact, pigeonhole};
+use rdv_core::general::GeneralSchedule;
+use rdv_lower::{density, exact, pigeonhole};
 use rdv_sdp::{solve, OrientGraph, SdpConfig};
 use std::hint::black_box;
 
@@ -30,6 +36,37 @@ fn bench_pigeonhole(c: &mut Criterion) {
     });
 }
 
+fn bench_density_witness(c: &mut Criterion) {
+    const N: u64 = 24;
+    const HORIZON: u64 = 1 << 22;
+    let family = |set: &ChannelSet| GeneralSchedule::asynchronous(N, set.clone()).expect("valid");
+    let mut group = c.benchmark_group("density_witness_n24");
+    group.warm_up_time(std::time::Duration::from_millis(300));
+    group.measurement_time(std::time::Duration::from_millis(900));
+    group.sample_size(10);
+    for (k, l) in [(2usize, 2usize), (3, 3)] {
+        group.bench_with_input(
+            BenchmarkId::new("worst_overlap_one_pair", format!("k={k},l={l}")),
+            &(k, l),
+            |b, &(k, l)| {
+                b.iter(|| {
+                    black_box(density::worst_overlap_one_pair(
+                        &family, N, k, l, HORIZON, 5, 128,
+                    ))
+                })
+            },
+        );
+    }
+    let s = family(&ChannelSet::new(1..=3).expect("non-empty"));
+    group.bench_function("density/folded", |b| {
+        b.iter(|| black_box(density::density(&s, 3, HORIZON)))
+    });
+    group.bench_function("density/naive", |b| {
+        b.iter(|| black_box(density::naive::density(&s, 3, HORIZON)))
+    });
+    group.finish();
+}
+
 fn bench_sdp(c: &mut Criterion) {
     let mut group = c.benchmark_group("sdp_solve");
     group.warm_up_time(std::time::Duration::from_millis(300));
@@ -47,5 +84,5 @@ fn bench_sdp(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group! {name = benches; config = Criterion::default().warm_up_time(std::time::Duration::from_millis(300)).measurement_time(std::time::Duration::from_millis(900)).sample_size(10); targets = bench_exact_search, bench_pigeonhole, bench_sdp}
+criterion_group! {name = benches; config = Criterion::default().warm_up_time(std::time::Duration::from_millis(300)).measurement_time(std::time::Duration::from_millis(900)).sample_size(10); targets = bench_exact_search, bench_pigeonhole, bench_density_witness, bench_sdp}
 criterion_main!(benches);

@@ -12,24 +12,92 @@
 //! and shifts whose time-to-rendezvous approaches (or exceeds) `kℓ`. Run
 //! against *our* construction it quantifies how close Theorem 3's
 //! `O(kℓ log log n)` schedules sit to the `Ω(kℓ)` barrier.
+//!
+//! # Period folding
+//!
+//! The witness horizon `T` (2²² slots in the pipelines) is orders of
+//! magnitude longer than the schedules' periods, so [`density`] never walks
+//! it. [`Schedule::period_hint`] is contractually a *true* period `P`
+//! (`σ(t + P) = σ(t)` for all `t`), hence the hit count folds:
+//!
+//! ```text
+//! hits(T) = ⌊T/P⌋ · hits(P) + hits(T mod P)
+//! ```
+//!
+//! and one chunked [`Schedule::fill_channels`] pass over a single period
+//! yields both terms. The count is the same integer the per-slot loop
+//! produces, so the returned `f64` is bit-identical to
+//! [`naive::density`], the reference the property tests compare against.
 
 use crate::pigeonhole::ScheduleFamily;
 use rdv_core::channel::ChannelSet;
 use rdv_core::schedule::Schedule;
 use rdv_core::verify;
 
+/// Slots per `fill_channels` call of the counting kernel.
+const CHUNK: usize = 512;
+
+/// The number of slots `t ∈ [from, to)` with `σ(t) = h`, read through
+/// chunked `fill_channels`.
+fn count_hits<S: Schedule + ?Sized>(schedule: &S, h: u64, from: u64, to: u64) -> u64 {
+    let mut buf = [0u64; CHUNK];
+    let mut hits = 0u64;
+    let mut t = from;
+    while t < to {
+        let len = (to - t).min(CHUNK as u64) as usize;
+        schedule.fill_channels(t, &mut buf[..len]);
+        hits += buf[..len].iter().filter(|&&c| c == h).count() as u64;
+        t += len as u64;
+    }
+    hits
+}
+
 /// The density `∆(h, σ; T)`: the fraction of the first `T` slots spent on
 /// channel `h`.
+///
+/// When the schedule reports a period `P < T`, the count is folded from one
+/// period (`⌊T/P⌋ · hits(P) + hits(T mod P)`, see the module docs); this
+/// relies on [`Schedule::period_hint`] being a true period. Aperiodic
+/// schedules, and those with `P ≥ T`, are counted over `[0, T)` directly.
+/// Either way the result is bit-identical to [`naive::density`].
 ///
 /// # Panics
 ///
 /// Panics if `T == 0`.
 pub fn density<S: Schedule + ?Sized>(schedule: &S, h: u64, t: u64) -> f64 {
     assert!(t > 0, "density over an empty prefix is undefined");
-    let hits = (0..t)
-        .filter(|&s| schedule.channel_at(s).get() == h)
-        .count();
+    let hits = match schedule.period_hint() {
+        Some(p) if p > 0 && p < t => {
+            let rem = t % p;
+            let head = count_hits(schedule, h, 0, rem);
+            let tail = count_hits(schedule, h, rem, p);
+            (t / p) * (head + tail) + head
+        }
+        _ => count_hits(schedule, h, 0, t),
+    };
     hits as f64 / t as f64
+}
+
+/// Per-slot reference implementation of [`density`].
+///
+/// This is the original loop over [`Schedule::channel_at`]; it exists so
+/// the property tests can assert the folded count is bit-identical, and so
+/// `benches/lower_bounds.rs` can measure the speedup.
+pub mod naive {
+    use rdv_core::schedule::Schedule;
+
+    /// Per-slot reference for [`super::density`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `T == 0`.
+    pub fn density<S: Schedule + ?Sized>(schedule: &S, h: u64, t: u64) -> f64 {
+        assert!(t > 0, "density over an empty prefix is undefined");
+        let hits = (0..t)
+            .filter(|&s| schedule.channel_at(s).get() == h)
+            .count();
+        hits as f64 / t as f64
+    }
 }
 
 /// A witness produced by [`worst_overlap_one_pair`].
@@ -58,10 +126,11 @@ pub struct AsyncWitness {
 /// `shift_stride` controls the shift sweep granularity (1 = exhaustive over
 /// one period of `A`'s schedule, capped at `max_shifts`).
 ///
-/// Returns `None` if `n < k + ℓ − 1` (no overlap-one pair exists) or no
-/// rendezvous completes within `horizon` (which would itself be a
-/// counterexample to the family's guarantee — callers should treat it as a
-/// failed verification, not a missing witness).
+/// Returns `None` if `k == 0` or `ℓ == 0` (no non-empty set to build),
+/// `shift_stride == 0` (no shift sweep), `n < k + ℓ − 1` (no overlap-one
+/// pair exists), or no rendezvous completes within `horizon` (which would
+/// itself be a counterexample to the family's guarantee — callers should
+/// treat it as a failed verification, not a missing witness).
 pub fn worst_overlap_one_pair<F: ScheduleFamily>(
     family: &F,
     n: u64,
@@ -71,7 +140,7 @@ pub fn worst_overlap_one_pair<F: ScheduleFamily>(
     shift_stride: u64,
     max_shifts: u64,
 ) -> Option<AsyncWitness> {
-    if n < (k + ell - 1) as u64 {
+    if k == 0 || ell == 0 || shift_stride == 0 || n < (k + ell - 1) as u64 {
         return None;
     }
     let mut worst: Option<AsyncWitness> = None;
@@ -209,5 +278,20 @@ mod tests {
     #[test]
     fn small_universe_rejected() {
         assert!(worst_overlap_one_pair(&round_robin, 3, 3, 3, 100, 1, 8).is_none());
+    }
+
+    #[test]
+    fn empty_first_set_rejected() {
+        assert!(worst_overlap_one_pair(&round_robin, 16, 0, 3, 100, 1, 8).is_none());
+    }
+
+    #[test]
+    fn empty_second_set_rejected() {
+        assert!(worst_overlap_one_pair(&round_robin, 16, 3, 0, 100, 1, 8).is_none());
+    }
+
+    #[test]
+    fn zero_shift_stride_rejected() {
+        assert!(worst_overlap_one_pair(&round_robin, 16, 3, 3, 100, 0, 8).is_none());
     }
 }

@@ -129,6 +129,54 @@ fn corrupt_lines_are_isolated_not_fatal() {
     assert_eq!(trend.generations, 2);
 }
 
+#[test]
+fn deeply_nested_line_is_skipped_and_repaired() {
+    // A 200k-deep array once overflowed the parser's stack; it must be one
+    // more corrupt line, reported by `fsck` and dropped by `--repair`.
+    let path = scratch("deep_nesting.jsonl");
+    let _ = std::fs::remove_file(&path);
+    history::append(&path, &generation("kernel", &[("n=16", 1.0)])).expect("append");
+    let mut text = std::fs::read_to_string(&path).expect("read back");
+    text.push_str(&"[".repeat(200_000));
+    text.push('\n');
+    std::fs::write(&path, text).expect("rewrite");
+    history::append(&path, &generation("kernel", &[("n=16", 2.0)])).expect("append");
+    let ledger = history::read(&path).expect("read");
+    assert_eq!(ledger.entries.len(), 2, "both good generations survive");
+    assert_eq!(ledger.skipped.len(), 1);
+    assert_eq!(ledger.skipped[0].line, 2);
+    assert!(
+        ledger.skipped[0].error.contains("nesting deeper than"),
+        "{}",
+        ledger.skipped[0].error
+    );
+
+    let fsck = |repair: bool| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
+        cmd.args(["history", "fsck", "--history"]).arg(&path);
+        if repair {
+            cmd.arg("--repair");
+        }
+        cmd.output().expect("run repro history fsck")
+    };
+    let out = fsck(false);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "corruption without --repair exits 1: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = fsck(true);
+    assert!(
+        out.status.success(),
+        "fsck --repair failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let repaired = history::read(&path).expect("read repaired");
+    assert_eq!(repaired.entries, ledger.entries);
+    assert!(repaired.skipped.is_empty());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

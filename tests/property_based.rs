@@ -3,7 +3,31 @@
 
 use blind_rendezvous::prelude::*;
 use proptest::prelude::*;
+use rdv_core::schedule::CyclicSchedule;
 use rdv_core::verify;
+use rdv_lower::density;
+
+/// Hides a schedule's period, so [`density::density`] takes its aperiodic
+/// fallback.
+struct Unhinted<S>(S);
+
+impl<S: Schedule> Schedule for Unhinted<S> {
+    fn channel_at(&self, t: u64) -> Channel {
+        self.0.channel_at(t)
+    }
+}
+
+/// Asserts the folded density, with and without the period hint, is
+/// bit-identical to the per-slot reference.
+fn assert_density_matches_naive<S: Schedule>(s: &S, h: u64, t: u64) {
+    let naive = density::naive::density(s, h, t).to_bits();
+    assert_eq!(density::density(s, h, t).to_bits(), naive, "h={h} T={t}");
+    assert_eq!(
+        density::density(&Unhinted(s), h, t).to_bits(),
+        naive,
+        "unhinted h={h} T={t}"
+    );
+}
 
 /// Strategy: a universe size and a pair of overlapping subsets.
 fn overlapping_instance() -> impl Strategy<Value = (u64, ChannelSet, ChannelSet)> {
@@ -180,5 +204,38 @@ proptest! {
         let cr_a = Crseq::new(n, scenario.a.clone()).expect("valid");
         let cr_b = Crseq::new(n, scenario.b.clone()).expect("valid");
         prop_assert!(verify::async_ttr(&cr_a, &cr_b, shift, 40_000).is_some());
+    }
+
+    #[test]
+    fn folded_density_matches_naive_on_cyclic_schedules(
+        slots in proptest::collection::vec(1u64..8, 1..=64),
+        h in 0u64..10,
+        reps in 2u64..6,
+        rem in 0u64..64,
+    ) {
+        // h ranges over channels inside and outside the schedule; T over
+        // below one period, one period, exact multiples, and multiples
+        // plus a remainder.
+        let s = CyclicSchedule::new(slots.iter().map(|&c| Channel::new(c)).collect())
+            .expect("non-empty");
+        let p = slots.len() as u64;
+        let rem = rem % p;
+        for t in [rem.max(1), p, reps * p, reps * p + rem, reps * p + p - 1] {
+            assert_density_matches_naive(&s, h, t);
+        }
+    }
+
+    #[test]
+    fn folded_density_matches_naive_on_general_schedules(
+        set in proptest::collection::btree_set(1u64..=24, 1..=3),
+        h in 1u64..=24,
+        t in 1u64..5_000,
+    ) {
+        let s = GeneralSchedule::asynchronous(24, ChannelSet::new(set).expect("non-empty"))
+            .expect("valid");
+        let p = s.period_hint().expect("periodic");
+        for t in [t, p, 3 * p, 3 * p + t % p] {
+            assert_density_matches_naive(&s, h, t);
+        }
     }
 }
