@@ -34,15 +34,24 @@
 //! are recorded, never gated.
 //!
 //! With no (or a quiet) plan the sequence is exactly periodic and
-//! block-compiles; under an active plan `period_hint` is `None` and the
-//! bulk fill senses once per epoch segment.
+//! block-compiles, provided its period `2P · lcm(P(P−1), m)` fits in
+//! `u64` (`period_hint` is `None` past that, e.g. at `n = 2²²`); under an
+//! active plan `period_hint` is `None`.
+//!
+//! [`channel_at`](Schedule::channel_at) is the per-slot definition above;
+//! the bulk fill runs the shared segment kernel
+//! ([`SensedFill`](crate::sensing)) instead. Within one frame the even
+//! slots form one arithmetic lane (`r ← r + a mod P`) and the odd slots a
+//! constant stay lane, so each segment — a frame cut by plan-epoch
+//! boundaries — costs one sense (only when its epoch is new) and no
+//! per-slot division.
 
 use crate::projection::project_sensed;
-use crate::sensing::Sensing;
+use crate::sensing::{Lane, SensedFill, Sensing};
 use rdv_core::channel::{Channel, ChannelSet};
 use rdv_core::fault::FaultPlan;
 use rdv_core::schedule::Schedule;
-use rdv_numtheory::modular::gcd;
+use rdv_numtheory::modular::{add_mod, mul_mod};
 use rdv_numtheory::primes::next_prime_at_least;
 
 /// An ACS-hopping schedule for one agent.
@@ -114,26 +123,52 @@ impl Schedule for AcsHopping {
         // Quiet case: the slot channel depends on the frame index f only
         // through (f mod (P−1), f mod P, f mod m) — stride, offset/stay,
         // and projection rotation — so the true period is
-        // 2P · lcm(P(P−1), m). An active plan re-senses per epoch, so
-        // there is no period.
-        let m = self.sensing.set().len() as u64;
-        let rp = self.p * (self.p - 1);
-        let lcm = rp / gcd(rp, m) * m;
-        self.sensing.period_if_oblivious(2 * self.p * lcm)
+        // 2P · lcm(P(P−1), m).
+        self.sensing.period(2, self.p)
     }
 
     fn fill_channels(&self, start: u64, out: &mut [u64]) {
-        // Epoch-chunked twin of the slot-by-slot default (bit-identical).
+        // Segment-compiled twin of the slot-by-slot default (bit-identical):
+        // within a frame the even slots are one arithmetic lane (stride a)
+        // and the odd slots one stay lane; plan epochs only cut a frame
+        // into segments that swap the sensed set under both lanes.
+        let (p, frame) = (self.p, 2 * self.p);
+        let mut kernel = SensedFill::new(&self.sensing, self.n, p);
+        let (mut f, mut j) = (start / frame, start % frame);
+        let (mut jump, mut stay) = self.frame_lanes(f, j);
         let mut i = 0usize;
         while i < out.len() {
-            let t = start + i as u64;
-            let run = self.sensing.stable_run(t).min((out.len() - i) as u64) as usize;
-            let s = self.sensing.sensed_at(t);
-            for (j, slot) in out[i..i + run].iter_mut().enumerate() {
-                *slot = self.channel_in(t + j as u64, &s).get();
+            if j == frame {
+                (f, j) = (f + 1, 0);
+                (jump, stay) = self.frame_lanes(f, 0);
             }
-            i += run;
+            let len = kernel
+                .sense(start + i as u64)
+                .min(frame - j)
+                .min((out.len() - i) as u64);
+            let segment = &mut out[i..i + len as usize];
+            let odd = (j % 2) as usize;
+            kernel.project(segment, odd, 2, &mut jump);
+            kernel.project(segment, 1 - odd, 2, &mut stay);
+            i += len as usize;
+            j += len;
         }
+    }
+}
+
+impl AcsHopping {
+    /// The jump and stay lanes of frame `f` from frame slot `j` on.
+    fn frame_lanes(&self, f: u64, j: u64) -> (Lane, Lane) {
+        let p = self.p;
+        let (a, fp) = (f % (p - 1) + 1, f % p);
+        // The first jump slot at or after j sits at clock u mod P = ⌈j/2⌉.
+        let jump = add_mod(mul_mod(j.div_ceil(2), a, p), fp, p);
+        let lane = |r, step| Lane {
+            r,
+            step,
+            rotation: f,
+        };
+        (lane(jump, a), lane(fp, 0))
     }
 }
 
@@ -164,18 +199,22 @@ mod tests {
 
     #[test]
     fn fill_matches_slot_by_slot_under_a_plan() {
-        let s = set(&[1, 4, 6, 7]);
+        // A small and a wide universe; the P-relative starts cross phase
+        // boundaries.
         let plan = FaultPlan::new(431, 48, 400, 0, 8192);
-        let a = AcsHopping::new(8, s, 77, Some(plan)).unwrap();
-        for start in [0u64, 1, 47, 48, 300, 511, 512, 1000] {
-            let mut bulk = vec![0u64; 700];
-            a.fill_channels(start, &mut bulk);
-            for (i, &c) in bulk.iter().enumerate() {
-                assert_eq!(
-                    c,
-                    a.channel_at(start + i as u64).get(),
-                    "start {start}, offset {i}"
-                );
+        for (n, channels) in [(8u64, vec![1u64, 4, 6, 7]), (70_000, vec![1, 4, 6, 69_999])] {
+            let a = AcsHopping::new(n, set(&channels), 77, Some(plan)).unwrap();
+            let p = a.prime();
+            for start in [0u64, 1, 47, 48, 300, 511, 512, 1000, 2 * p - 5, 4 * p - 1] {
+                let mut bulk = vec![0u64; 700];
+                a.fill_channels(start, &mut bulk);
+                for (i, &c) in bulk.iter().enumerate() {
+                    assert_eq!(
+                        c,
+                        a.channel_at(start + i as u64).get(),
+                        "n {n}, start {start}, offset {i}"
+                    );
+                }
             }
         }
     }
@@ -195,6 +234,22 @@ mod tests {
             .unwrap()
             .period_hint()
             .is_none());
+    }
+
+    #[test]
+    fn period_hint_is_none_when_the_period_overflows() {
+        // n = 2²² → P = 4 194 319; with m = 3 the period
+        // 2P · lcm(P(P−1), 3) ≈ 1.5·10²⁰ does not fit in u64. A quiet plan
+        // is dropped at construction, so it must agree with no plan.
+        let s = set(&[1, 2, 3]);
+        let quiet = FaultPlan::new(1, 64, 0, 0, 4096);
+        for plan in [None, Some(quiet)] {
+            let wide = AcsHopping::new(1 << 22, s.clone(), 0, plan).unwrap();
+            assert_eq!(wide.period_hint(), None);
+            // n = 2¹⁶ → P = 65 537: the period fits and is unchanged.
+            let narrow = AcsHopping::new(1 << 16, s.clone(), 0, plan).unwrap();
+            assert_eq!(narrow.period_hint(), Some(1_688_901_400_264_704));
+        }
     }
 
     #[test]

@@ -13,22 +13,34 @@
 //!   the *absolute* slot; `Sensing` carries the agent's wake offset and
 //!   performs the translation, so availability-aware schedules stay
 //!   drop-in [`Schedule`](rdv_core::schedule::Schedule) implementations.
-//! * **Epoch-granular sensing.** Outage masks are constant within one
-//!   plan epoch, so the sensed set only changes at epoch boundaries;
-//!   [`Sensing::stable_run`] exposes the length of the constant run from
-//!   any slot, which lets `fill_channels` overrides sense once per epoch
-//!   segment instead of once per slot.
 //! * **Quiet plans compile away.** A `None` or quiet plan senses the full
-//!   licensed set forever (`stable_run` = ∞), so availability-aware
-//!   schedules are exactly periodic and block-compile like any oblivious
-//!   schedule when nothing is faulted.
+//!   licensed set forever, so availability-aware schedules are exactly
+//!   periodic and block-compile like any oblivious schedule when nothing
+//!   is faulted.
 //! * **Never go dark.** If an epoch blacks out the *entire* licensed set,
 //!   the radio keeps hopping the full set (those slots cannot produce a
 //!   meeting anyway — the engine masks them — but the sequence position
 //!   keeps advancing deterministically).
+//!
+//! # The segment kernel
+//!
+//! Both schedules define a hop per slot (`channel_at`, the oracle) as a
+//! raw residue `r ∈ [0, P)` projected onto the sensed set with a rotation
+//! ([`project_sensed`](crate::projection::project_sensed)). Their bulk
+//! fills go through one kernel instead, `SensedFill`. Each phase of the
+//! sequence (an ACS frame, a ZOS zig/zag/stay phase) holds the rotation
+//! fixed and steps its residues arithmetically (`r ← r + d mod P`);
+//! plan-epoch boundaries cut a phase into **segments** over which the
+//! sensed set is constant too. Per segment the kernel senses at most
+//! once — only when the epoch is new — into a reused buffer, then walks
+//! the run with no division: the universe
+//! fold `r mod n` is one conditional subtract (`P ≤ 2n` by Bertrand's
+//! postulate) and the fallback index `(r + rotation) mod m` is carried
+//! incrementally.
 
 use rdv_core::channel::ChannelSet;
 use rdv_core::fault::FaultPlan;
+use rdv_numtheory::modular::gcd;
 
 /// The availability context of one availability-aware schedule: the
 /// agent's licensed set, its absolute wake slot, and the (optional) fault
@@ -52,12 +64,9 @@ impl Sensing {
         }
     }
 
-    /// The agent's licensed channel set.
-    pub fn set(&self) -> &ChannelSet {
-        &self.set
-    }
-
-    /// Whether a (non-quiet) fault plan is being sensed.
+    /// Whether a (non-quiet) fault plan is being sensed. With one, the
+    /// masks are hashed per epoch and never repeat, so the schedule has
+    /// no period.
     pub fn has_plan(&self) -> bool {
         self.plan.is_some()
     }
@@ -67,45 +76,159 @@ impl Sensing {
     /// `wake + t`, in ascending channel order; the whole licensed set when
     /// there is no plan or everything is blacked out.
     pub fn sensed_at(&self, t: u64) -> Vec<u64> {
-        let Some(plan) = &self.plan else {
-            return self.set.as_slice().to_vec();
-        };
-        let abs = self.wake.saturating_add(t);
-        let sensed: Vec<u64> = self
-            .set
-            .as_slice()
-            .iter()
-            .copied()
-            .filter(|&c| plan.channel_available(c, abs))
-            .collect();
+        let mut sensed = Vec::new();
+        self.sense_into(self.epoch_at(t).map(|(epoch, _)| epoch), &mut sensed);
+        sensed
+    }
+
+    /// The absolute plan epoch of local slot `t` and how many slots from
+    /// `t` (inclusive) it lasts; `None` without a plan.
+    fn epoch_at(&self, t: u64) -> Option<(u64, u64)> {
+        self.plan.map(|plan| {
+            let abs = self.wake.saturating_add(t);
+            let len = plan.epoch_slots();
+            (abs / len, len - abs % len)
+        })
+    }
+
+    /// The true period of a schedule on this context whose rounds last
+    /// `phase · P` slots and depend on the round index only through its
+    /// residues mod `P − 1`, `P` and `m = |set|`: `phase · P · lcm(P(P−1),
+    /// m)`. `None` under an active plan (the masks never repeat) or when
+    /// the period does not fit in `u64`.
+    pub fn period(&self, phase: u64, p: u64) -> Option<u64> {
+        if self.has_plan() {
+            return None;
+        }
+        let m = self.set.len() as u64;
+        let rp = p.checked_mul(p - 1)?;
+        let lcm = (rp / gcd(rp, m)).checked_mul(m)?;
+        phase.checked_mul(p)?.checked_mul(lcm)
+    }
+
+    /// The sensed set of plan epoch `epoch` (`None` without a plan) into
+    /// a reused buffer.
+    fn sense_into(&self, epoch: Option<u64>, sensed: &mut Vec<u64>) {
+        sensed.clear();
+        let licensed = self.set.as_slice();
+        if let (Some(plan), Some(epoch)) = (&self.plan, epoch) {
+            sensed.extend(
+                licensed
+                    .iter()
+                    .copied()
+                    .filter(|&c| plan.available_in_epoch(c, epoch)),
+            );
+        }
         if sensed.is_empty() {
-            self.set.as_slice().to_vec()
-        } else {
-            sensed
+            sensed.extend_from_slice(licensed);
+        }
+    }
+}
+
+/// One arithmetic run of raw residues inside a phase of the sequence:
+/// the residue of its next slot, its step mod `P` (0 for a stay), and
+/// the projection rotation. A lane outlives the segments a plan epoch
+/// cuts its phase into; only the sensed set under it changes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lane {
+    pub(crate) r: u64,
+    pub(crate) step: u64,
+    pub(crate) rotation: u64,
+}
+
+/// The segment kernel of one bulk fill (see the module docs): the
+/// schedule's sensing context and universe, plus the sensed set of the
+/// last epoch sensed, reused across segments.
+pub(crate) struct SensedFill<'a> {
+    sensing: &'a Sensing,
+    n: u64,
+    p: u64,
+    /// The sensed channels up to `expires`, ascending and non-empty once
+    /// [`Self::sense`] has run.
+    sensed: Vec<u64>,
+    /// The first local slot past the epoch `sensed` was sensed in (0
+    /// before the first sense, `u64::MAX` without a plan).
+    expires: u64,
+    /// `P mod |sensed|`.
+    p_mod_m: u64,
+}
+
+impl<'a> SensedFill<'a> {
+    /// A kernel for a schedule over universe `[n]` with universe prime
+    /// `p ≥ n` (so `p ≤ 2n`).
+    pub(crate) fn new(sensing: &'a Sensing, n: u64, p: u64) -> Self {
+        debug_assert!(n <= p && p - n <= n, "universe prime out of range");
+        SensedFill {
+            sensing,
+            n,
+            p,
+            sensed: Vec::with_capacity(sensing.set.len()),
+            expires: 0,
+            p_mod_m: 0,
         }
     }
 
-    /// How many local slots from `t` (inclusive) the sensed set is
-    /// guaranteed constant: to the end of the current absolute-time plan
-    /// epoch, or `u64::MAX` with no plan. Always ≥ 1.
-    pub fn stable_run(&self, t: u64) -> u64 {
-        let Some(plan) = &self.plan else {
-            return u64::MAX;
-        };
-        let abs = self.wake.saturating_add(t);
-        let epoch = plan.epoch_slots();
-        epoch - abs % epoch
+    /// Makes the kernel's sensed set that of local slot `t` (no earlier
+    /// than the previous call's), sensing only once `t` has left the last
+    /// sensed epoch; returns how many slots from `t` (inclusive, ≥ 1)
+    /// that set stays constant.
+    pub(crate) fn sense(&mut self, t: u64) -> u64 {
+        if t >= self.expires {
+            let epoch = self.sensing.epoch_at(t);
+            self.expires = epoch.map_or(u64::MAX, |(_, run)| t.saturating_add(run));
+            self.sensing
+                .sense_into(epoch.map(|(epoch, _)| epoch), &mut self.sensed);
+            self.p_mod_m = self.p % self.sensed.len() as u64;
+        }
+        self.expires - t
     }
 
-    /// The true period of the schedule's sensed set, if it has one: with
-    /// no (or quiet) plan the sensed set never changes, so any sequence
-    /// period is a schedule period; with an active plan the masks are
-    /// hashed per epoch and never repeat, so there is none.
-    pub fn period_if_oblivious(&self, sequence_period: u64) -> Option<u64> {
-        if self.plan.is_some() {
-            None
+    /// Writes `lane`'s next slots into `out[first]`, `out[first +
+    /// stride]`, … — each exactly `project_sensed(r + 1, n, sensed,
+    /// rotation)` of its residue `r` — and advances the lane past them.
+    pub(crate) fn project(&self, out: &mut [u64], first: usize, stride: usize, lane: &mut Lane) {
+        let (p, m, p_m) = (self.p, self.sensed.len() as u64, self.p_mod_m);
+        let Lane { mut r, step, .. } = *lane;
+        // The fallback index (r + rotation) mod m, carried along.
+        let mut pick = (r + lane.rotation) % m;
+        if step == 0 {
+            let channel = self.channel(r, pick);
+            out.iter_mut()
+                .skip(first)
+                .step_by(stride)
+                .for_each(|slot| *slot = channel);
+            return;
+        }
+        let step_m = step % m;
+        let mut x = first;
+        while x < out.len() {
+            out[x] = self.channel(r, pick);
+            x += stride;
+            // r + step wraps past P about step/P of the time at random,
+            // so both updates are selects rather than branches. A wrap
+            // takes P off r and so P mod m off the fallback index.
+            let wrap = r >= p - step;
+            r = if wrap { r - (p - step) } else { r + step };
+            pick += step_m;
+            pick = if pick >= m { pick - m } else { pick };
+            let back = if wrap { p_m } else { 0 };
+            pick = if pick >= back {
+                pick - back
+            } else {
+                pick + m - back
+            };
+        }
+        lane.r = r;
+    }
+
+    /// The projection of residue `r < P` with fallback index `pick`.
+    #[inline]
+    fn channel(&self, r: u64, pick: u64) -> u64 {
+        let folded = if r >= self.n { r - self.n } else { r } + 1;
+        if self.sensed.binary_search(&folded).is_ok() {
+            folded
         } else {
-            Some(sequence_period)
+            self.sensed[pick as usize]
         }
     }
 }
@@ -113,6 +236,7 @@ impl Sensing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::projection::project_sensed;
 
     fn set(channels: &[u64]) -> ChannelSet {
         ChannelSet::new(channels.iter().copied()).unwrap()
@@ -124,8 +248,8 @@ mod tests {
         assert!(!s.has_plan());
         assert_eq!(s.sensed_at(0), vec![2, 5, 9]);
         assert_eq!(s.sensed_at(1_000_000), vec![2, 5, 9]);
-        assert_eq!(s.stable_run(123), u64::MAX);
-        assert_eq!(s.period_if_oblivious(42), Some(42));
+        let mut k = SensedFill::new(&s, 9, 11);
+        assert_eq!(k.sense(123), u64::MAX - 123);
     }
 
     #[test]
@@ -133,7 +257,6 @@ mod tests {
         let quiet = FaultPlan::new(7, 64, 0, 0, 4096);
         let s = Sensing::new(set(&[1, 2]), 0, Some(quiet));
         assert!(!s.has_plan());
-        assert_eq!(s.period_if_oblivious(10), Some(10));
     }
 
     #[test]
@@ -142,7 +265,8 @@ mod tests {
         let licensed = set(&[3, 4, 5, 6]);
         let wake = 100u64;
         let s = Sensing::new(licensed.clone(), wake, Some(plan));
-        assert_eq!(s.period_if_oblivious(10), None);
+        assert!(s.has_plan());
+        let mut k = SensedFill::new(&s, 6, 7);
         for t in 0..1024u64 {
             let sensed = s.sensed_at(t);
             let abs = wake + t;
@@ -157,11 +281,12 @@ mod tests {
             } else {
                 assert_eq!(sensed, want);
             }
-            // The sensed set is constant over the advertised stable run.
-            let run = s.stable_run(t);
+            // The kernel senses the same set, constant over the run it
+            // advertises, which ends exactly at an absolute epoch boundary.
+            let run = k.sense(t);
             assert!(run >= 1);
+            assert_eq!(k.sensed, sensed);
             assert_eq!(s.sensed_at(t + run - 1), sensed);
-            // ... and the run ends exactly at an absolute epoch boundary.
             assert_eq!((abs + run) % 64, 0);
         }
     }
@@ -173,5 +298,39 @@ mod tests {
         let licensed = set(&[2, 7]);
         let s = Sensing::new(licensed.clone(), 0, Some(plan));
         assert_eq!(s.sensed_at(5), licensed.as_slice());
+    }
+
+    #[test]
+    fn projected_runs_match_per_slot_projection() {
+        // Every step (including the stay step 0), rotation and stride,
+        // in small and wide universes; a lane resumed in a second call
+        // continues where it stopped.
+        for (n, p, channels) in [
+            (10u64, 11u64, vec![1u64, 4, 6, 10]),
+            (13, 13, vec![2, 3, 5, 7, 11, 13]),
+            ((1 << 16) + 1, (1 << 16) + 3, vec![3, 65_537]),
+        ] {
+            let s = Sensing::new(set(&channels), 0, None);
+            let mut k = SensedFill::new(&s, n, p);
+            k.sense(0);
+            for step in [0, 1, 2, p / 2, p - 1] {
+                for (r, rotation) in [(0, 0), (p - 1, 5), (3, 1 << 40)] {
+                    for (first, stride) in [(0usize, 1usize), (1, 2)] {
+                        let mut lane = Lane { r, step, rotation };
+                        let mut out = vec![0u64; 3 * p.min(40) as usize];
+                        let half = out.len() / 2;
+                        k.project(&mut out[..half], first, stride, &mut lane);
+                        let resume = (first as i64 - half as i64).rem_euclid(stride as i64);
+                        k.project(&mut out[half..], resume as usize, stride, &mut lane);
+                        let mut residue = r;
+                        for &got in out.iter().skip(first).step_by(stride) {
+                            let want = project_sensed(residue + 1, n, &channels, rotation);
+                            assert_eq!(got, want.get(), "n {n}, step {step}, r {residue}");
+                            residue = (residue + step) % p;
+                        }
+                    }
+                }
+            }
+        }
     }
 }

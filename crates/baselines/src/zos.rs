@@ -38,19 +38,26 @@
 //!
 //! With no (or a quiet) plan the sensed set never changes, the sequence
 //! is exactly periodic, and the schedule block-compiles like any
-//! oblivious baseline. Under an active plan the sensed set is re-derived
-//! per epoch, the sequence is aperiodic (`period_hint` = `None`), and
-//! the bulk [`fill_channels`] path senses once per epoch segment rather
-//! than once per slot.
+//! oblivious baseline, provided its period `3P · lcm(P(P−1), m)` fits in
+//! `u64` (`period_hint` is `None` past that, e.g. at `n = 2²²`). Under an
+//! active plan the sensed set is re-derived per epoch and the sequence is
+//! aperiodic (`period_hint` = `None`).
+//!
+//! [`channel_at`](Schedule::channel_at) is the per-slot definition above;
+//! the bulk [`fill_channels`] runs the shared segment kernel
+//! ([`SensedFill`](crate::sensing)) instead: each zig, zag or stay phase
+//! is one arithmetic lane (step `+a`, `−a` or `0` mod `P`), so each
+//! segment — a phase cut by plan-epoch boundaries — costs one sense (only
+//! when its epoch is new) and no per-slot division.
 //!
 //! [`fill_channels`]: Schedule::fill_channels
 
 use crate::projection::project_sensed;
-use crate::sensing::Sensing;
+use crate::sensing::{Lane, SensedFill, Sensing};
 use rdv_core::channel::{Channel, ChannelSet};
 use rdv_core::fault::FaultPlan;
 use rdv_core::schedule::Schedule;
-use rdv_numtheory::modular::gcd;
+use rdv_numtheory::modular::{add_mod, mul_mod};
 use rdv_numtheory::primes::next_prime_at_least;
 
 /// A ZOS schedule for one agent.
@@ -129,28 +136,55 @@ impl Schedule for Zos {
         // Quiet case: the slot channel depends on the round index r only
         // through (r mod (P−1), r mod P, r mod m) — stride, offset, and
         // projection rotation — so the true period is
-        // 3P · lcm(P(P−1), m). An active plan re-senses per epoch and
-        // the masks never repeat, so there is no period.
-        let m = self.sensing.set().len() as u64;
-        let rp = self.p * (self.p - 1);
-        let lcm = rp / gcd(rp, m) * m;
-        self.sensing.period_if_oblivious(3 * self.p * lcm)
+        // 3P · lcm(P(P−1), m).
+        self.sensing.period(3, self.p)
     }
 
     fn fill_channels(&self, start: u64, out: &mut [u64]) {
-        // Sense once per constant-availability run (one plan epoch, or
-        // the whole block when oblivious) instead of once per slot; must
-        // stay bit-identical to the slot-by-slot default.
+        // Segment-compiled twin of the slot-by-slot default (bit-identical):
+        // each zig, zag or stay phase is one arithmetic lane (step +a, −a
+        // or 0); plan epochs only cut a phase into segments that swap the
+        // sensed set under it.
+        let p = self.p;
+        let mut kernel = SensedFill::new(&self.sensing, self.n, p);
+        let (mut round, mut j) = (start / (3 * p), start % (3 * p));
+        let (mut lane, mut phase_end) = self.phase_lane(round, j);
         let mut i = 0usize;
         while i < out.len() {
-            let t = start + i as u64;
-            let run = self.sensing.stable_run(t).min((out.len() - i) as u64) as usize;
-            let s = self.sensing.sensed_at(t);
-            for (j, slot) in out[i..i + run].iter_mut().enumerate() {
-                *slot = self.channel_in(t + j as u64, &s).get();
+            if j == phase_end {
+                if j == 3 * p {
+                    (round, j) = (round + 1, 0);
+                }
+                (lane, phase_end) = self.phase_lane(round, j);
             }
-            i += run;
+            let len = kernel
+                .sense(start + i as u64)
+                .min(phase_end - j)
+                .min((out.len() - i) as u64);
+            kernel.project(&mut out[i..i + len as usize], 0, 1, &mut lane);
+            i += len as usize;
+            j += len;
         }
+    }
+}
+
+impl Zos {
+    /// The residue lane of `round` from round slot `j` on, and the round
+    /// slot where its zig, zag or stay phase ends.
+    fn phase_lane(&self, round: u64, j: u64) -> (Lane, u64) {
+        let p = self.p;
+        let (a, b) = (round % (p - 1) + 1, round % p);
+        let (r, step) = match j / p {
+            0 => (add_mod(mul_mod(j, a, p), b, p), a),
+            1 => (add_mod(mul_mod(2 * p - 1 - j, a, p), b, p), p - a),
+            _ => (b, 0),
+        };
+        let lane = Lane {
+            r,
+            step,
+            rotation: round,
+        };
+        (lane, (j / p + 1) * p)
     }
 }
 
@@ -181,18 +215,34 @@ mod tests {
 
     #[test]
     fn fill_matches_slot_by_slot_under_a_plan() {
-        let s = set(&[1, 4, 6, 7]);
+        // A small and a wide universe; the P-relative starts cross phase
+        // boundaries.
         let plan = FaultPlan::new(99, 48, 400, 0, 8192);
-        let z = Zos::new(8, s, 213, Some(plan)).unwrap();
-        for start in [0u64, 1, 47, 48, 300, 511, 512, 1000] {
-            let mut bulk = vec![0u64; 700];
-            z.fill_channels(start, &mut bulk);
-            for (i, &c) in bulk.iter().enumerate() {
-                assert_eq!(
-                    c,
-                    z.channel_at(start + i as u64).get(),
-                    "start {start}, offset {i}"
-                );
+        for (n, channels) in [(8u64, vec![1u64, 4, 6, 7]), (70_000, vec![1, 4, 6, 69_999])] {
+            let z = Zos::new(n, set(&channels), 213, Some(plan)).unwrap();
+            let p = z.prime();
+            for start in [
+                0u64,
+                1,
+                47,
+                48,
+                300,
+                511,
+                512,
+                1000,
+                p - 5,
+                2 * p - 5,
+                3 * p - 5,
+            ] {
+                let mut bulk = vec![0u64; 700];
+                z.fill_channels(start, &mut bulk);
+                for (i, &c) in bulk.iter().enumerate() {
+                    assert_eq!(
+                        c,
+                        z.channel_at(start + i as u64).get(),
+                        "n {n}, start {start}, offset {i}"
+                    );
+                }
             }
         }
     }
@@ -212,6 +262,22 @@ mod tests {
             .unwrap()
             .period_hint()
             .is_none());
+    }
+
+    #[test]
+    fn period_hint_is_none_when_the_period_overflows() {
+        // n = 2²² → P = 4 194 319; with m = 3 the period
+        // 3P · lcm(P(P−1), 3) ≈ 2.2·10²⁰ does not fit in u64. A quiet plan
+        // is dropped at construction, so it must agree with no plan.
+        let s = set(&[1, 2, 3]);
+        let quiet = FaultPlan::new(1, 64, 0, 0, 4096);
+        for plan in [None, Some(quiet)] {
+            let wide = Zos::new(1 << 22, s.clone(), 0, plan).unwrap();
+            assert_eq!(wide.period_hint(), None);
+            // n = 2¹⁶ → P = 65 537: the period fits and is unchanged.
+            let narrow = Zos::new(1 << 16, s.clone(), 0, plan).unwrap();
+            assert_eq!(narrow.period_hint(), Some(2_533_352_100_397_056));
+        }
     }
 
     #[test]

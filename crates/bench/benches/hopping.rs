@@ -1,12 +1,39 @@
 //! Schedule evaluation throughput — the radio's per-slot budget at
 //! runtime: per-slot `channel_at` calls vs the bulk `fill_channels` kernel
 //! over the same 1024 slots.
+//!
+//! Both groups also carry the availability-aware family (ZOS, ACS hopping)
+//! under the `light` fault plan at `(n, k) = (96, 8)` and `(256, 32)`:
+//! there `channel_at` re-senses the plan every slot, while
+//! `fill_channels` runs the segment kernel (`rdv_baselines::sensing`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rdv_bench::{build, scenario};
+use rdv_core::fault::FaultProfile;
 use rdv_core::schedule::Schedule;
+use rdv_sim::algo::{AgentCtx, DynSchedule};
 use rdv_sim::Algorithm;
 use std::hint::black_box;
+
+/// The availability-aware schedules under the `light` plan, by row id.
+fn sensed_schedules() -> Vec<(String, DynSchedule)> {
+    let plan = FaultProfile::named("light")
+        .expect("the light profile is committed")
+        .plan(11, 4096);
+    let ctx = AgentCtx {
+        faults: Some(plan),
+        ..AgentCtx::default()
+    };
+    let mut rows = Vec::new();
+    for (n, k) in [(96u64, 8usize), (256, 32)] {
+        let set = scenario(n, k).a;
+        for algo in [Algorithm::Zos, Algorithm::AcsHopping] {
+            let sched = algo.make(n, &set, &ctx).expect("valid agent");
+            rows.push((format!("{algo}/light n={n} k={k}"), sched));
+        }
+    }
+    rows
+}
 
 fn bench_hopping(c: &mut Criterion) {
     let mut group = c.benchmark_group("channel_at");
@@ -40,6 +67,17 @@ fn bench_hopping(c: &mut Criterion) {
             },
         );
     }
+    for (id, sched) in sensed_schedules() {
+        group.bench_with_input(BenchmarkId::from_parameter(id), &sched, |b, sched| {
+            b.iter(|| {
+                let mut acc = 0u64;
+                for t in 0..1024u64 {
+                    acc ^= sched.channel_at(black_box(t)).get();
+                }
+                acc
+            })
+        });
+    }
     group.finish();
 }
 
@@ -70,6 +108,15 @@ fn bench_block_fill(c: &mut Criterion) {
                 })
             },
         );
+    }
+    for (id, sched) in sensed_schedules() {
+        group.bench_with_input(BenchmarkId::from_parameter(id), &sched, |b, sched| {
+            let mut buf = [0u64; 1024];
+            b.iter(|| {
+                sched.fill_channels(black_box(0), &mut buf);
+                buf[1023]
+            })
+        });
     }
     group.finish();
 }

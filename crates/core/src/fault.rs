@@ -130,13 +130,19 @@ impl FaultPlan {
     /// rate. Channel `0` is the engines' no-meet sentinel, never a real
     /// channel; it is reported unavailable for defense in depth.
     pub fn channel_available(&self, channel: u64, slot: u64) -> bool {
+        self.available_in_epoch(channel, slot / self.epoch_slots)
+    }
+
+    /// [`Self::channel_available`] for every slot of outage epoch `epoch`
+    /// (slots `[epoch · epoch_slots, (epoch + 1) · epoch_slots)`), for
+    /// callers that walk time one epoch at a time.
+    pub fn available_in_epoch(&self, channel: u64, epoch: u64) -> bool {
         if channel == 0 {
             return false;
         }
         if self.outage_per_mille == 0 {
             return true;
         }
-        let epoch = slot / self.epoch_slots;
         mix(mix(self.seed ^ OUTAGE_TAG, channel), epoch) % 1000 >= self.outage_per_mille as u64
     }
 
@@ -223,6 +229,7 @@ mod tests {
                 // The whole epoch agrees with its first slot.
                 let epoch_start = (slot / 64) * 64;
                 assert_eq!(a, p.channel_available(channel, epoch_start));
+                assert_eq!(a, p.available_in_epoch(channel, slot / 64));
             }
         }
     }

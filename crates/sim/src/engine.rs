@@ -380,6 +380,8 @@ impl<'a> BlockRows<'a> {
 /// the block starting at `block_start`, masked for presence: slots
 /// before the agent wakes or arrives, at or after it departs, and slots
 /// whose channel `plan` blacks out all become the no-meet sentinel `0`.
+/// The post-departure tail is zeroed in bulk and outages are masked one
+/// plan epoch at a time ([`mask_outages`]).
 ///
 /// This is the one masking routine of the workspace: the arena fill
 /// (whose slotwise *and* bit-plane blocks pack exactly this row) and the
@@ -403,14 +405,85 @@ fn fill_masked_row<S: Schedule>(
     let awake_from = wake.max(block_start).max(window.arrive);
     let lead = (awake_from - block_start) as usize;
     row[..lead].fill(0);
-    schedule.fill_channels(awake_from - wake, &mut row[lead..]);
+    let live = &mut row[lead..];
+    schedule.fill_channels(awake_from - wake, live);
     if let Some(p) = plan {
-        for (x, c) in row[lead..].iter_mut().enumerate() {
-            let t = awake_from + x as u64;
-            if t >= window.depart || !p.channel_available(*c, t) {
+        let present = window
+            .depart
+            .saturating_sub(awake_from)
+            .min(live.len() as u64) as usize;
+        live[present..].fill(0);
+        mask_outages(p, awake_from, &mut live[..present]);
+    }
+}
+
+/// log2 of the entries of an [`AvailabilityMemo`].
+const MEMO_BITS: u32 = 7;
+
+/// One row's direct-mapped memo of `(channel, epoch)` availabilities,
+/// indexed by a multiplicative hash of the channel (ids that share low
+/// bits still spread). Each entry is tagged with its channel and stamped
+/// with the epoch segment it was computed in, so entering the next
+/// segment invalidates the whole memo without clearing it; a miss hashes
+/// and overwrites its entry.
+struct AvailabilityMemo {
+    /// `(channel, segment << 1 | available)`; segments count from 1, so
+    /// the zeroed initial entries are never live.
+    entries: [(u64, u64); 1 << MEMO_BITS],
+    segment: u64,
+}
+
+impl AvailabilityMemo {
+    fn new() -> Self {
+        AvailabilityMemo {
+            entries: [(0, 0); 1 << MEMO_BITS],
+            segment: 0,
+        }
+    }
+
+    /// Starts memoizing the next epoch segment.
+    fn enter(&mut self) {
+        self.segment += 1;
+    }
+
+    /// Whether `channel` is available in `epoch`, the entered segment's
+    /// epoch; hashes only on a miss, so at most once per call.
+    fn available(&mut self, plan: &FaultPlan, channel: u64, epoch: u64) -> bool {
+        let i = (channel.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO_BITS)) as usize;
+        let (tag, stamp) = self.entries[i];
+        if tag == channel && stamp >> 1 == self.segment {
+            return stamp & 1 == 1;
+        }
+        let available = plan.available_in_epoch(channel, epoch);
+        self.entries[i] = (channel, self.segment << 1 | available as u64);
+        available
+    }
+}
+
+/// Zeroes the slots of `row` — absolute slots from `start` on — whose
+/// channel `plan` blacks out, one plan epoch at a time: each distinct
+/// `(channel, epoch)` of the row is hashed once unless another channel of
+/// the epoch evicts it from the [`AvailabilityMemo`], and never more often
+/// than once per slot.
+fn mask_outages(plan: &FaultPlan, start: u64, row: &mut [u64]) {
+    if plan.outage_per_mille() == 0 {
+        // Every real channel is available; the sentinel 0 stays 0.
+        return;
+    }
+    let epoch_slots = plan.epoch_slots();
+    let mut memo = AvailabilityMemo::new();
+    let mut x = 0usize;
+    while x < row.len() {
+        let t = start + x as u64;
+        let (epoch, len) = (t / epoch_slots, epoch_slots - t % epoch_slots);
+        let len = len.min((row.len() - x) as u64) as usize;
+        memo.enter();
+        for c in &mut row[x..x + len] {
+            if !memo.available(plan, *c, epoch) {
                 *c = 0;
             }
         }
+        x += len;
     }
 }
 
@@ -1186,6 +1259,36 @@ fn bucket_scan(
 mod tests {
     use super::*;
     use crate::algo::{AgentCtx, Algorithm};
+
+    #[test]
+    fn outage_masking_matches_per_slot_availability() {
+        // Rows with more distinct channels per epoch than the memo has
+        // entries, ids sharing their low 10 bits, 2⁴⁰-wide ids, and
+        // sentinel zeros.
+        let rows: [fn(u64) -> u64; 3] = [
+            |x| 1 + (x % 200) * 1024,
+            |x| (1 << 40) - x * x % 97,
+            |x| if x % 5 == 0 { 0 } else { 1 + x % 3 },
+        ];
+        for plan in [
+            FaultPlan::new(17, 256, 300, 0, 4096),
+            FaultPlan::new(5, 7, 900, 0, 4096),
+        ] {
+            for (r, row) in rows.iter().enumerate() {
+                for start in [0u64, 3, 250, 1 << 33] {
+                    let original: Vec<u64> = (0..BLOCK as u64).map(row).collect();
+                    let want: Vec<u64> = original
+                        .iter()
+                        .zip(start..)
+                        .map(|(&c, t)| if plan.channel_available(c, t) { c } else { 0 })
+                        .collect();
+                    let mut got = original;
+                    mask_outages(&plan, start, &mut got);
+                    assert_eq!(got, want, "row {r}, start {start}, plan {plan:?}");
+                }
+            }
+        }
+    }
 
     fn agent(algo: Algorithm, n: u64, channels: &[u64], wake: u64, seed: u64) -> Agent {
         let set = ChannelSet::new(channels.iter().copied()).unwrap();

@@ -14,15 +14,35 @@ use rdv_sim::engine::{
 use rdv_sim::{FaultPlan, InPlayWindow, ParallelConfig};
 
 /// A random population description: per agent, a channel set (within a
-/// shared universe) and a wake slot.
+/// shared universe) and a wake slot. Two regimes: small universes with
+/// sets of up to 5 channels, and wide ones (`n` up to 300) with sets of
+/// up to 32 channels, about half drawn from a stride-16 lattice whose ids
+/// share their low bits — so the per-epoch outage masking sees more
+/// distinct channels than any small cache, colliding on any low-bit index.
 fn population() -> impl Strategy<Value = (u64, Vec<(Vec<u64>, u64)>)> {
-    (6u64..18).prop_flat_map(|n| {
-        let agent = (
-            proptest::collection::btree_set(1..=n, 1..=5),
-            0u64..700, // staggered wakes, some beyond whole blocks
-        )
-            .prop_map(|(set, wake)| (set.into_iter().collect::<Vec<u64>>(), wake));
-        (Just(n), proptest::collection::vec(agent, 2..9))
+    (0u8..2).prop_flat_map(|wide| {
+        let (n_min, n_max, k_max) = if wide == 1 {
+            (64u64, 300u64, 32usize)
+        } else {
+            (6, 17, 5)
+        };
+        (n_min..=n_max).prop_flat_map(move |n| {
+            let channel = (0u8..2, 1..=n, 0..(n / 16).max(1), 1u64..=2).prop_map(
+                move |(lattice, c, hi, lo)| {
+                    if wide == 1 && lattice == 1 {
+                        16 * hi + lo
+                    } else {
+                        c
+                    }
+                },
+            );
+            let agent = (
+                proptest::collection::btree_set(channel, 1..=k_max),
+                0u64..700, // staggered wakes, some beyond whole blocks
+            )
+                .prop_map(|(set, wake)| (set.into_iter().collect::<Vec<u64>>(), wake));
+            (Just(n), proptest::collection::vec(agent, 2..9))
+        })
     })
 }
 

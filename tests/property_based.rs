@@ -45,6 +45,23 @@ fn overlapping_instance() -> impl Strategy<Value = (u64, ChannelSet, ChannelSet)
     })
 }
 
+/// Strategy: a universe size and one licensed subset — either small
+/// (`n < 40`, up to 6 channels) or wide (`n` up to 300, up to 32
+/// channels, past any small membership cache).
+fn sensed_instance() -> impl Strategy<Value = (u64, ChannelSet)> {
+    (0u8..2).prop_flat_map(|wide| {
+        let (n_max, k_max) = if wide == 1 {
+            (300u64, 32usize)
+        } else {
+            (39, 6)
+        };
+        (2u64..=n_max).prop_flat_map(move |n| {
+            proptest::collection::btree_set(1..=n, 1..=k_max)
+                .prop_map(move |set| (n, ChannelSet::new(set).expect("non-empty")))
+        })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -164,6 +181,36 @@ proptest! {
             prop_assert_eq!(
                 fingerprint(&sa, span), h,
                 "{} fill_channels fingerprint diverged (n={})", algo, n
+            );
+        }
+    }
+
+    #[test]
+    fn sensed_fill_equivalence_under_faults(
+        (n, set) in sensed_instance(),
+        (seed, epoch, outage) in (any::<u64>(), 1u64..=256, 0u16..=1000),
+        wake in 0u64..1_000,
+        start in 0u64..10_000,
+        len in 1usize..=1_300,
+    ) {
+        // The availability-aware family's segment-compiled fill must be
+        // bit-identical to per-slot channel_at from any start, across
+        // epoch, phase and total-blackout (outage up to 1000‰) boundaries.
+        use blind_rendezvous::sim::algo::AgentCtx;
+        use rdv_core::fault::FaultPlan;
+        let plan = FaultPlan::new(seed, epoch, outage, 0, 4_096);
+        let ctx = AgentCtx { wake, agent_seed: 0, shared_seed: 0, faults: Some(plan) };
+        for algo in [Algorithm::Zos, Algorithm::AcsHopping] {
+            let s = algo.make(n, &set, &ctx).expect("valid agent");
+            let mut bulk = vec![0u64; len];
+            s.fill_channels(start, &mut bulk);
+            let slotwise: Vec<u64> =
+                (start..start + len as u64).map(|t| s.channel_at(t).get()).collect();
+            let first_diff = bulk.iter().zip(&slotwise).position(|(a, b)| a != b);
+            prop_assert_eq!(
+                first_diff, None,
+                "{} fill diverged (n={}, set={}, epoch={}, outage={}, start={})",
+                algo, n, set, epoch, outage, start
             );
         }
     }
