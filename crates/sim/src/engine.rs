@@ -5,16 +5,16 @@
 //! # The shared block arena
 //!
 //! The engine advances time in blocks of `BLOCK` (512) slots. Each block
-//! is a barrier tree step on the work-stealing orchestrator
-//! ([`pool::run_tree_barrier`]):
+//! is one barrier tree submission on the work-stealing orchestrator
+//! ([`pool::run_tree_barrier`]), whatever the thread count — one thread
+//! runs both waves through its sequential path:
 //!
 //! 1. **Fill** — every in-play agent's channels for the block are
 //!    computed once, sharded into agent chunks; each fill task *returns*
 //!    its chunk's rows as an owned buffer, which the expansion barrier
 //!    publishes read-only to every resolve task ([`pool::ParentOutputs`])
-//!    — no atomics, so the fill loops autovectorize and the one-thread
-//!    engine runs the identical plain-`&mut [u64]` code inline.
-//!    Schedules are prepared once per run
+//!    — no atomics, so the fill loops autovectorize over plain
+//!    `&mut [u64]` rows. Schedules are prepared once per run
 //!    ([`PreparedSchedule::new_capped`], budgeted across the population)
 //!    and reused across every block. `0` marks not-yet-awake slots
 //!    (channels are 1-indexed, so the sentinel is unambiguous).
@@ -315,49 +315,33 @@ fn set_bit(bits: &mut [u64], at: usize) {
     bits[at / 64] |= 1 << (at % 64);
 }
 
-/// How one block's filled rows are laid out inside their chunk buffers.
+/// How one block resolves its pending pairs — and so how the block's
+/// filled rows are laid out inside their chunk buffers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RowLayout {
-    /// One `u64` channel per slot — `len` words per agent row. The
-    /// layout the bucket scan gathers from (it needs channel *values*)
-    /// and the fallback for universes past the plane budget.
-    Slotwise,
-    /// Bit-planes: a presence plane plus `nbits` channel-bit planes of
-    /// `words` words each per agent row (see [`bitplane::pack_row`]).
+enum Resolver {
+    /// Pair-major over bit-planes: a presence plane plus `nbits`
+    /// channel-bit planes of `words` words each per agent row (see
+    /// [`bitplane::pack_row`]).
     Planes {
         /// Channel-id bit width of the universe.
         nbits: u32,
         /// Words per plane (`len.div_ceil(64)`).
         words: usize,
     },
+    /// Pair-major over `u64`-per-slot rows — the fallback for universes
+    /// past the plane budget and the [`PlanePolicy::Slotwise`] reference.
+    Slots,
+    /// The bucket scan over `u64`-per-slot rows (it gathers channel
+    /// *values*, so it never packs planes).
+    Buckets,
 }
 
-impl RowLayout {
-    /// Words each agent row occupies in its fill chunk for a `len`-slot
-    /// block.
-    fn row_words(self, len: usize) -> usize {
-        match self {
-            RowLayout::Slotwise => len,
-            RowLayout::Planes { nbits, words } => (1 + nbits as usize) * words,
-        }
-    }
-}
-
-/// Where a block's filled rows live: the one-thread engine's own chunk
-/// buffers, or the owned chunk buffers the fill barrier published
-/// ([`pool::ParentOutputs`]). Either way the rows are plain `&[u64]` —
-/// the resolve kernels never touch an atomic.
-#[derive(Clone, Copy)]
-enum RowChunks<'a> {
-    Seq(&'a [Vec<u64>]),
-    Barrier(pool::ParentOutputs<'a, Vec<u64>>),
-}
-
-/// Read-only access to every filled row of one block, whatever produced
-/// or laid them out.
+/// Read-only access to every filled row of one block: the owned chunk
+/// buffers the fill barrier published ([`pool::ParentOutputs`]), as plain
+/// `&[u64]` — the resolve kernels never touch an atomic.
 #[derive(Clone, Copy)]
 struct BlockRows<'a> {
-    chunks: RowChunks<'a>,
+    chunks: pool::ParentOutputs<'a, Vec<u64>>,
     /// Agent index → (fill chunk, row index within the chunk). Entries
     /// of agents outside the block's in-play set are stale and never
     /// read (pending pairs only reference loaded agents).
@@ -368,12 +352,23 @@ struct BlockRows<'a> {
 impl<'a> BlockRows<'a> {
     fn row(&self, ai: usize) -> &'a [u64] {
         let (ci, k) = self.locate[ai];
-        let chunk: &'a [u64] = match self.chunks {
-            RowChunks::Seq(chunks) => &chunks[ci as usize],
-            RowChunks::Barrier(outputs) => outputs.get(ci as usize),
-        };
+        let chunk: &'a [u64] = self.chunks.get(ci as usize);
         &chunk[k as usize * self.row_words..(k as usize + 1) * self.row_words]
     }
+}
+
+/// One resolve task of a block's fan-out: a chunk of pending pairs for
+/// the pair-major kernels, or a slot range for the bucket scan.
+enum Task<'a> {
+    Pairs(&'a [(usize, usize)]),
+    Slots(Range<usize>),
+}
+
+/// A parent of a block's barrier submission: an agent chunk to fill, or
+/// the one fan-out parent carrying the block's resolve tasks.
+enum Parent<'a> {
+    Fill(&'a [u32]),
+    FanOut(Vec<Task<'a>>),
 }
 
 /// Fills `row` (one slot per entry) with the channels an agent hops for
@@ -763,21 +758,26 @@ impl Simulation {
                     }
                     ResolveMode::PairMajor => false,
                 };
+            let resolver = if use_bucket {
+                Resolver::Buckets
+            } else if planes_ok {
+                Resolver::Planes {
+                    nbits,
+                    words: bitplane::plane_words(len),
+                }
+            } else {
+                Resolver::Slots
+            };
             if use_bucket && met.is_empty() {
                 met = vec![0u64; (n * (n - 1) / 2).div_ceil(64)];
                 for &((i, j), _) in &entries {
                     set_bit(&mut met, pair_bit(i, j, n));
                 }
             }
-            let layout = if planes_ok && !use_bucket {
-                RowLayout::Planes {
-                    nbits,
-                    words: bitplane::plane_words(len),
-                }
-            } else {
-                RowLayout::Slotwise
+            let row_words = match resolver {
+                Resolver::Planes { nbits, words } => (1 + nbits as usize) * words,
+                Resolver::Slots | Resolver::Buckets => len,
             };
-            let row_words = layout.row_words(len);
             let fill_tasks: Vec<&[u32]> = in_play
                 .chunks(pool::chunk_size(in_play.len(), threads))
                 .collect();
@@ -786,110 +786,76 @@ impl Simulation {
                     locate[ai as usize] = (ci as u32, k as u32);
                 }
             }
-            let agents = &self.agents;
-            let prepared = &prepared;
-            let group_of = &group_of;
-            let windows = &windows;
-            let plan_ref = plan.as_ref();
-            // Phase 1: each fill task computes its agents' masked rows
-            // for the block and *returns* them as one owned buffer (in
-            // the block's layout) — the expansion barrier publishes the
-            // buffers read-only to every resolve task.
-            let fill_chunk = move |chunk: &[u32]| -> Vec<u64> {
-                let mut rows: Vec<u64> = Vec::with_capacity(chunk.len() * row_words);
-                let mut scratch = [0u64; BLOCK];
-                for &ai in chunk {
-                    let ai = ai as usize;
-                    let agent = &agents[ai];
-                    let window = windows.as_ref().map_or(InPlayWindow::ALWAYS, |w| w[ai]);
-                    fill_masked_row(
-                        &prepared[group_of[ai]],
-                        agent.wake,
-                        window,
-                        plan_ref,
-                        block_start,
-                        &mut scratch[..len],
-                    );
-                    match layout {
-                        RowLayout::Planes { nbits, words } => {
-                            let base = rows.len();
-                            rows.resize(base + row_words, 0);
-                            bitplane::pack_row(&scratch[..len], nbits, words, &mut rows[base..]);
-                        }
-                        RowLayout::Slotwise => rows.extend_from_slice(&scratch[..len]),
-                    }
-                }
-                rows
+            let resolve_tasks: Vec<Task> = if use_bucket {
+                let step = pool::chunk_size(len, threads);
+                (0..len)
+                    .step_by(step)
+                    .map(|lo| Task::Slots(lo..(lo + step).min(len)))
+                    .collect()
+            } else {
+                pending
+                    .chunks(pool::chunk_size(pending.len(), threads))
+                    .map(Task::Pairs)
+                    .collect()
             };
-            let locate_ref = &locate;
-            if use_bucket {
-                let slot_chunk = pool::chunk_size(len, threads);
-                let slot_tasks: Vec<Range<usize>> = (0..len)
-                    .step_by(slot_chunk)
-                    .map(|lo| lo..(lo + slot_chunk).min(len))
-                    .collect();
-                let (met_ref, in_play_ref) = (&met, &in_play);
-                let found: Vec<(u32, u32, u64)> = if threads <= 1 {
-                    // One thread: fill and resolve inline through plain
-                    // slices — no pool, no barrier, no atomics.
-                    let chunk_rows: Vec<Vec<u64>> =
-                        fill_tasks.iter().map(|&chunk| fill_chunk(chunk)).collect();
+            let parents: Vec<Parent> = fill_tasks
+                .into_iter()
+                .map(Parent::Fill)
+                .chain(std::iter::once(Parent::FanOut(resolve_tasks)))
+                .collect();
+            // Phase 1: each fill parent computes its agents' masked rows
+            // for the block and *returns* them as one owned buffer (in
+            // the resolver's layout) — the expansion barrier publishes the
+            // buffers read-only to every resolve task (phase 2).
+            let mut out = pool::run_tree_barrier(
+                parents,
+                &ParallelConfig::with_threads(threads),
+                |_pi, parent| match parent {
+                    Parent::FanOut(tasks) => (Vec::new(), tasks),
+                    Parent::Fill(chunk) => {
+                        let mut rows = Vec::with_capacity(chunk.len() * row_words);
+                        let mut scratch = [0u64; BLOCK];
+                        let row = &mut scratch[..len];
+                        for &ai in chunk {
+                            let ai = ai as usize;
+                            let window = windows.as_ref().map_or(InPlayWindow::ALWAYS, |w| w[ai]);
+                            fill_masked_row(
+                                &prepared[group_of[ai]],
+                                self.agents[ai].wake,
+                                window,
+                                plan.as_ref(),
+                                block_start,
+                                row,
+                            );
+                            match resolver {
+                                Resolver::Planes { nbits, words } => {
+                                    let base = rows.len();
+                                    rows.resize(base + row_words, 0);
+                                    bitplane::pack_row(row, nbits, words, &mut rows[base..]);
+                                }
+                                Resolver::Slots | Resolver::Buckets => rows.extend_from_slice(row),
+                            }
+                        }
+                        (rows, Vec::new())
+                    }
+                },
+                |_path, task, outputs| {
                     let rows = BlockRows {
-                        chunks: RowChunks::Seq(&chunk_rows),
-                        locate: locate_ref,
+                        chunks: outputs,
+                        locate: &locate,
                         row_words,
                     };
-                    slot_tasks
-                        .into_iter()
-                        .flat_map(|slots| {
-                            bucket_scan(
-                                &rows,
-                                in_play_ref,
-                                met_ref,
-                                n,
-                                max_channel,
-                                slots,
-                                block_start,
-                            )
-                        })
-                        .collect()
-                } else {
-                    enum Parent<'a> {
-                        Fill(&'a [u32]),
-                        FanOut(Vec<Range<usize>>),
+                    match task {
+                        Task::Pairs(pairs) => resolve_pairs(&rows, pairs, resolver, block_start),
+                        Task::Slots(slots) => {
+                            bucket_scan(&rows, &in_play, &met, n, max_channel, slots, block_start)
+                        }
                     }
-                    let parents: Vec<Parent> = fill_tasks
-                        .iter()
-                        .map(|&chunk| Parent::Fill(chunk))
-                        .chain(std::iter::once(Parent::FanOut(slot_tasks)))
-                        .collect();
-                    let mut out = pool::run_tree_barrier(
-                        parents,
-                        &ParallelConfig::with_threads(threads),
-                        |_pi, p| match p {
-                            Parent::Fill(chunk) => (fill_chunk(chunk), Vec::new()),
-                            Parent::FanOut(tasks) => (Vec::new(), tasks),
-                        },
-                        |_path, slots, outputs| {
-                            let rows = BlockRows {
-                                chunks: RowChunks::Barrier(outputs),
-                                locate: locate_ref,
-                                row_words,
-                            };
-                            bucket_scan(
-                                &rows,
-                                in_play_ref,
-                                met_ref,
-                                n,
-                                max_channel,
-                                slots,
-                                block_start,
-                            )
-                        },
-                    );
-                    let (_, results) = out.pop().expect("the fan-out parent is always submitted");
-                    results.into_iter().flatten().collect()
-                };
+                },
+            );
+            let (_, results) = out.pop().expect("the fan-out parent is always submitted");
+            let found = results.into_iter().flatten();
+            if use_bucket {
                 // Tasks cover ascending slot ranges and emit in ascending
                 // slot order, so the first record of a pair is its first
                 // meeting of the block.
@@ -905,81 +871,13 @@ impl Simulation {
                 }
                 pending.retain(|&(i, j)| !test_bit(&met, pair_bit(i, j, n)));
             } else {
-                let pair_tasks: Vec<&[(usize, usize)]> = pending
-                    .chunks(pool::chunk_size(pending.len(), threads))
-                    .collect();
-                // The pair kernel: word-parallel over the planes, or the
-                // slot-at-a-time scan on slotwise rows. Either way the
-                // rows are plain slices the compiler can vectorize over.
-                let resolve_chunk = |rows: &BlockRows<'_>, chunk: &[(usize, usize)]| {
-                    chunk
-                        .iter()
-                        .map(|&(i, j)| {
-                            let (ri, rj) = (rows.row(i), rows.row(j));
-                            match layout {
-                                RowLayout::Planes { nbits, words } => {
-                                    bitplane::first_match(ri, rj, nbits, words)
-                                        .map(|x| block_start + x as u64)
-                                }
-                                RowLayout::Slotwise => (0..len).find_map(|x| {
-                                    let c = ri[x];
-                                    if c != 0 && c == rj[x] {
-                                        Some(block_start + x as u64)
-                                    } else {
-                                        None
-                                    }
-                                }),
-                            }
-                        })
-                        .collect::<Vec<Option<u64>>>()
-                };
-                let results: Vec<Vec<Option<u64>>> = if threads <= 1 {
-                    // One thread: fill and resolve inline through plain
-                    // slices — no pool, no barrier, no atomics.
-                    let chunk_rows: Vec<Vec<u64>> =
-                        fill_tasks.iter().map(|&chunk| fill_chunk(chunk)).collect();
-                    let rows = BlockRows {
-                        chunks: RowChunks::Seq(&chunk_rows),
-                        locate: locate_ref,
-                        row_words,
-                    };
-                    pair_tasks
-                        .iter()
-                        .map(|&chunk| resolve_chunk(&rows, chunk))
-                        .collect()
-                } else {
-                    enum Parent<'a> {
-                        Fill(&'a [u32]),
-                        FanOut(Vec<&'a [(usize, usize)]>),
-                    }
-                    let parents: Vec<Parent> = fill_tasks
-                        .iter()
-                        .map(|&chunk| Parent::Fill(chunk))
-                        .chain(std::iter::once(Parent::FanOut(pair_tasks)))
-                        .collect();
-                    let mut out = pool::run_tree_barrier(
-                        parents,
-                        &ParallelConfig::with_threads(threads),
-                        |_pi, p| match p {
-                            Parent::Fill(chunk) => (fill_chunk(chunk), Vec::new()),
-                            Parent::FanOut(tasks) => (Vec::new(), tasks),
-                        },
-                        |_path, chunk, outputs| {
-                            let rows = BlockRows {
-                                chunks: RowChunks::Barrier(outputs),
-                                locate: locate_ref,
-                                row_words,
-                            };
-                            resolve_chunk(&rows, chunk)
-                        },
-                    );
-                    out.pop().expect("the fan-out parent is always submitted").1
-                };
-                let mut outcomes = results.into_iter().flatten();
+                // Pair tasks cover `pending` in order and emit its met
+                // pairs in order, so one walk matches them up.
+                let mut found = found.peekable();
                 let track_met = !met.is_empty();
                 pending.retain(|&(i, j)| {
-                    match outcomes.next().expect("one outcome per pending pair") {
-                        Some(t) => {
+                    match found.next_if(|&(a, b, _)| (a as usize, b as usize) == (i, j)) {
+                        Some((_, _, t)) => {
                             entries.push(((i, j), t));
                             if track_met {
                                 set_bit(&mut met, pair_bit(i, j, n));
@@ -1102,6 +1000,36 @@ impl Simulation {
         }
         None
     }
+}
+
+/// The pair-major resolve task: the first meeting slot within the block
+/// starting at `block_start` of every pair of `pairs` that meets in it,
+/// emitted in `pairs` order. Word-parallel over bit-planes, or the
+/// slot-at-a-time scan on slotwise rows; either way the rows are plain
+/// slices the compiler can vectorize over.
+fn resolve_pairs(
+    rows: &BlockRows<'_>,
+    pairs: &[(usize, usize)],
+    resolver: Resolver,
+    block_start: u64,
+) -> Vec<(u32, u32, u64)> {
+    // Sized for every pair up front: growing the output on the worker
+    // threads raised the per-operation peak RSS of 64-agent populations
+    // by ~9% (measured with perfbench's arena-sparse workload).
+    let mut met = Vec::with_capacity(pairs.len());
+    for &(i, j) in pairs {
+        let (ri, rj) = (rows.row(i), rows.row(j));
+        let x = match resolver {
+            Resolver::Planes { nbits, words } => bitplane::first_match(ri, rj, nbits, words),
+            Resolver::Slots | Resolver::Buckets => {
+                ri.iter().zip(rj).position(|(&c, &d)| c != 0 && c == d)
+            }
+        };
+        if let Some(x) = x {
+            met.push((i as u32, j as u32, block_start + x as u64));
+        }
+    }
+    met
 }
 
 /// Largest spectrum the bucket scan regroups through channel-indexed
@@ -1436,6 +1364,49 @@ mod tests {
             );
         }
         assert_eq!(baseline, sim.run(horizon));
+    }
+
+    #[test]
+    fn auto_mode_switches_keep_the_met_set_exact() {
+        // Slotwise rows put Auto's crossover at 16 pending pairs per
+        // in-play agent. By the counts, blocks 0–3 resolve pair-major
+        // (124 agents, 1746 pairs), bucket (104, 1730), pair-major
+        // (60, 790), bucket (40, 774). The early {1,2} and {3,4} quartets
+        // meet in a pair-major block and co-bucket again in the next
+        // bucket block, so that block's met set must hold them: backfilled
+        // on the first switch, tracked by the pair-major merge after it.
+        let mut agents = Vec::new();
+        let mut push = |channels: &[u64], wake: u64, count: usize| {
+            for _ in 0..count {
+                let seed = agents.len() as u64;
+                agents.push(agent(Algorithm::Random, 200, channels, wake, seed));
+            }
+        };
+        for c in 100..110 {
+            push(&[c], 0, 2);
+        }
+        for c in 110..120 {
+            push(&[c], 1100, 2);
+        }
+        push(&[1, 2], 0, 4);
+        push(&[1, 2], 600, 40);
+        push(&[3, 4], 1100, 4);
+        push(&[3, 4], 1600, 36);
+        let sim = Simulation::new(agents);
+        let horizon = 4_000u64;
+        let reference = sim.run_per_pair_reference(horizon, &ParallelConfig::with_threads(1));
+        for threads in [1usize, 2, 8] {
+            let cfg = EngineConfig {
+                parallel: ParallelConfig::with_threads(threads),
+                plane: PlanePolicy::Slotwise,
+                ..EngineConfig::default()
+            };
+            assert_eq!(
+                sim.run_engine(horizon, &cfg),
+                reference,
+                "threads = {threads}"
+            );
+        }
     }
 
     #[test]

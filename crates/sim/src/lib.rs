@@ -40,7 +40,7 @@ pub use engine::{
     EngineConfig, MeetingMap, MeetingReport, MissCause, MissedPair, PlanePolicy, ResolveMode,
     Simulation,
 };
-pub use pool::{CancelToken, ParallelConfig, TaskPanic, TreePath};
+pub use pool::{ParallelConfig, TaskPanic, TreePath};
 pub use rdv_core::fault::{FaultPlan, FaultProfile, InPlayWindow};
 pub use sweep::{
     sweep_lower_bound, sweep_lower_grid, sweep_pair_grid, sweep_pair_ttr, LowerBoundSweep,

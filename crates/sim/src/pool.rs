@@ -731,8 +731,8 @@ where
 }
 
 // ---------------------------------------------------------------------
-// Orchestrator hardening: panic quarantine, deterministic bounded retry,
-// and cooperative cancellation — the fault-tolerant layer grid pipelines
+// Orchestrator hardening: panic quarantine and deterministic bounded
+// retry — the fault-tolerant layer grid pipelines
 // run on so one poisoned cell degrades the artifact instead of killing
 // the whole submission.
 // ---------------------------------------------------------------------
@@ -785,23 +785,9 @@ pub fn quarantine<R>(f: impl FnOnce() -> R) -> Result<R, TaskPanic> {
     })
 }
 
-/// [`run_indexed`] with per-task panic quarantine: a panicking task
-/// yields `Err(TaskPanic)` in its slot and every other task completes.
-/// Results stay in task order.
-pub fn run_indexed_quarantined<T, R, F>(
-    tasks: Vec<T>,
-    cfg: &ParallelConfig,
-    f: F,
-) -> Vec<Result<R, TaskPanic>>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    run_indexed_quarantined_sink(tasks, cfg, f, |_, _| {})
-}
-
-/// [`run_indexed_quarantined`] with a **completion sink**: `sink(i, &r)`
+/// [`run_indexed`] with per-task panic quarantine and a **completion
+/// sink**: a panicking task yields `Err(TaskPanic)` in its slot while every
+/// other task completes, results stay in task order, and `sink(i, &r)`
 /// runs on the worker thread the moment task `i`'s quarantined result is
 /// known — before the pool joins, so a crash mid-grid loses at most the
 /// in-flight tasks. This is the seam checkpointing pipelines journal
@@ -829,70 +815,6 @@ where
         sink(i, &r);
         r
     })
-}
-
-/// One parent's quarantined results from [`run_tree_quarantined`]: the
-/// expansion outcome and each child's outcome, in path order.
-pub type QuarantinedParent<PR, R> = (Result<PR, TaskPanic>, Vec<Result<R, TaskPanic>>);
-
-/// [`run_tree`] with panic quarantine on both levels: a panicking
-/// expansion quarantines its parent (which then contributes no children),
-/// a panicking child quarantines only its own slot, and in every case the
-/// rest of the tree runs to completion and merges in path order.
-pub fn run_tree_quarantined<P, PR, C, R, E, F>(
-    parents: Vec<P>,
-    cfg: &ParallelConfig,
-    expand: E,
-    child: F,
-) -> Vec<QuarantinedParent<PR, R>>
-where
-    P: Send,
-    PR: Send,
-    C: Send,
-    R: Send,
-    E: Fn(usize, P) -> (PR, Vec<C>) + Sync,
-    F: Fn(TreePath, C) -> R + Sync,
-{
-    run_tree_quarantined_sink(parents, cfg, expand, child, |_, _| {})
-}
-
-/// [`run_tree_quarantined`] with a **completion sink**: `sink(path, &r)`
-/// runs on the worker thread the moment the child at `path` finishes
-/// (quarantined) — the task-tree twin of
-/// [`run_indexed_quarantined_sink`], and the seam checkpointing pipelines
-/// journal completed tree cells through before the merge.
-///
-/// Like the flat variant, the sink observes completions in scheduling
-/// order and is not quarantined: a sink failure is fatal to the run.
-pub fn run_tree_quarantined_sink<P, PR, C, R, E, F, S>(
-    parents: Vec<P>,
-    cfg: &ParallelConfig,
-    expand: E,
-    child: F,
-    sink: S,
-) -> Vec<QuarantinedParent<PR, R>>
-where
-    P: Send,
-    PR: Send,
-    C: Send,
-    R: Send,
-    E: Fn(usize, P) -> (PR, Vec<C>) + Sync,
-    F: Fn(TreePath, C) -> R + Sync,
-    S: Fn(TreePath, &Result<R, TaskPanic>) + Sync,
-{
-    run_tree(
-        parents,
-        cfg,
-        |pi, p| match quarantine(|| expand(pi, p)) {
-            Ok((pr, kids)) => (Ok(pr), kids),
-            Err(e) => (Err(e), Vec::new()),
-        },
-        |path, c| {
-            let r = quarantine(|| child(path, c));
-            sink(path, &r);
-            r
-        },
-    )
 }
 
 /// Deterministic bounded retry with exponential **backoff-in-attempts**:
@@ -924,81 +846,6 @@ pub fn retry_with_backoff<R, E>(
         budget = budget.saturating_mul(2);
     }
     Err((last.expect("at least one round ran"), rounds))
-}
-
-/// A cooperative cancellation token with an optional **soft deadline**:
-/// long-running tasks poll [`CancelToken::is_cancelled`] at natural
-/// checkpoints (between retry rounds, between grid cells) and wind down
-/// early instead of being killed. Once the deadline elapses — or
-/// [`CancelToken::cancel`] is called — the token latches and every clone
-/// observes it.
-///
-/// Deadlines are wall-clock and therefore **non-deterministic**: tokens
-/// with deadlines belong in interactive and nightly guard rails, never on
-/// the path that computes a committed artifact (the degradation pipeline
-/// only consults tokens it creates without a deadline, which trip purely
-/// by explicit `cancel`).
-#[derive(Debug, Clone)]
-pub struct CancelToken {
-    inner: std::sync::Arc<CancelInner>,
-}
-
-#[derive(Debug)]
-struct CancelInner {
-    cancelled: AtomicBool,
-    deadline: Option<std::time::Instant>,
-}
-
-impl CancelToken {
-    /// A token that only trips by explicit [`Self::cancel`] — safe for
-    /// deterministic paths.
-    pub fn new() -> Self {
-        CancelToken {
-            inner: std::sync::Arc::new(CancelInner {
-                cancelled: AtomicBool::new(false),
-                deadline: None,
-            }),
-        }
-    }
-
-    /// A token that additionally trips once `soft_deadline` has elapsed
-    /// from now. The deadline is *soft*: nothing is interrupted, tasks
-    /// observe it at their next poll.
-    pub fn with_deadline(soft_deadline: std::time::Duration) -> Self {
-        CancelToken {
-            inner: std::sync::Arc::new(CancelInner {
-                cancelled: AtomicBool::new(false),
-                deadline: Some(std::time::Instant::now() + soft_deadline),
-            }),
-        }
-    }
-
-    /// Trips the token for every clone, idempotently.
-    pub fn cancel(&self) {
-        self.inner.cancelled.store(true, Ordering::Release);
-    }
-
-    /// Whether the token has tripped (explicitly, or because the soft
-    /// deadline elapsed — which latches, so a tripped token never
-    /// un-trips).
-    pub fn is_cancelled(&self) -> bool {
-        if self.inner.cancelled.load(Ordering::Acquire) {
-            return true;
-        }
-        if let Some(deadline) = self.inner.deadline {
-            if std::time::Instant::now() >= deadline {
-                self.inner.cancelled.store(true, Ordering::Release);
-                return true;
-            }
-        }
-        false
-    }
-}
-
-impl Default for CancelToken {
-    fn default() -> Self {
-        CancelToken::new()
-    }
 }
 
 #[cfg(test)]
@@ -1285,34 +1132,6 @@ mod tests {
                 );
             }
             assert_eq!(out[13], Err(TaskPanic::new("cell 13 down")));
-        }
-    }
-
-    #[test]
-    fn tree_sink_sees_every_child_completion() {
-        use std::sync::Mutex;
-        for threads in [1usize, 4] {
-            let seen: Mutex<HashSet<(usize, usize)>> = Mutex::new(HashSet::new());
-            let out = run_tree_quarantined_sink(
-                (0..9u64).collect(),
-                &ParallelConfig::with_threads(threads),
-                |_pi, p| (p, (0..3u64).collect()),
-                |path, c| {
-                    if path.parent == 2 && path.child == 1 {
-                        panic!("child down");
-                    }
-                    c + 1
-                },
-                |path, r: &Result<u64, TaskPanic>| {
-                    assert_eq!(r.is_err(), path.parent == 2 && path.child == 1);
-                    assert!(
-                        seen.lock().unwrap().insert((path.parent, path.child)),
-                        "sink fired twice for {path:?}"
-                    );
-                },
-            );
-            assert_eq!(seen.into_inner().unwrap().len(), 27, "threads = {threads}");
-            assert_eq!(out[2].1[1], Err(TaskPanic::new("child down")));
         }
     }
 }

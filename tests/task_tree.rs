@@ -3,11 +3,11 @@
 //! two-nested-loops reference for every tree shape — including empty
 //! parents, single-child parents, and whole sweep grids — at every thread
 //! count, and a panicking task must propagate instead of deadlocking the
-//! pool. The hardened variants invert that last clause: under
-//! `run_indexed_quarantined`/`run_tree_quarantined` a panicking task is
-//! *recorded* in its result slot and the rest of the grid completes;
-//! `retry_with_backoff` and `CancelToken` round out the fault-tolerant
-//! orchestrator surface.
+//! pool. The hardened runner inverts that last clause: under
+//! `run_indexed_quarantined_sink` a panicking task is *recorded* in its
+//! result slot, every task reaches the completion sink exactly once, and
+//! the rest of the grid completes; `retry_with_backoff` rounds out the
+//! fault-tolerant orchestrator surface.
 
 use blind_rendezvous::sim::pool::{self, ParallelConfig, TaskPanic, TreePath};
 use blind_rendezvous::sim::sweep::{sweep_pair_grid, sweep_pair_ttr, SweepCell};
@@ -16,6 +16,7 @@ use blind_rendezvous::sim::{Algorithm, SweepConfig, SweepError};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 
 /// The sequential two-nested-loops reference: what a tree submission of
 /// `shape` (each parent a list of child payloads) must produce, computed
@@ -291,7 +292,8 @@ fn one_bad_cell_does_not_poison_its_grid_neighbors() {
 #[test]
 fn quarantined_task_panics_are_recorded_not_propagated() {
     for threads in [1usize, 2, 8] {
-        let results = pool::run_indexed_quarantined(
+        let sunk = Mutex::new(Vec::new());
+        let results = pool::run_indexed_quarantined_sink(
             (0..16u64).collect::<Vec<_>>(),
             &ParallelConfig::with_threads(threads),
             |i, v| {
@@ -300,6 +302,14 @@ fn quarantined_task_panics_are_recorded_not_propagated() {
                 }
                 v * 2
             },
+            |i, _| sunk.lock().unwrap().push(i),
+        );
+        let mut sunk = sunk.into_inner().unwrap();
+        sunk.sort_unstable();
+        assert_eq!(
+            sunk,
+            (0..16).collect::<Vec<_>>(),
+            "every index must reach the sink exactly once at {threads} threads"
         );
         assert_eq!(results.len(), 16, "grid truncated at {threads} threads");
         for (i, r) in results.iter().enumerate() {
@@ -317,51 +327,6 @@ fn quarantined_task_panics_are_recorded_not_propagated() {
                     Some(&(i as u64 * 2)),
                     "cell {i} poisoned by its neighbor at {threads} threads"
                 );
-            }
-        }
-    }
-}
-
-#[test]
-fn quarantined_tree_isolates_expansion_and_child_panics() {
-    for threads in [1usize, 2, 8] {
-        let results = pool::run_tree_quarantined(
-            (0..8u64).collect::<Vec<_>>(),
-            &ParallelConfig::with_threads(threads),
-            |pi, p| {
-                if pi == 2 {
-                    panic!("expansion bomb");
-                }
-                (p, vec![p; 3])
-            },
-            |path: TreePath, c: u64| {
-                if path.parent == 4 && path.child == 1 {
-                    panic!("child bomb");
-                }
-                c + 1
-            },
-        );
-        assert_eq!(results.len(), 8);
-        for (pi, (parent, children)) in results.iter().enumerate() {
-            if pi == 2 {
-                // A quarantined expansion contributes no children.
-                assert!(parent.is_err(), "expansion bomb lost at {threads} threads");
-                assert!(children.is_empty());
-                continue;
-            }
-            assert_eq!(parent.as_ref().ok(), Some(&(pi as u64)));
-            assert_eq!(children.len(), 3);
-            for (ci, child) in children.iter().enumerate() {
-                if pi == 4 && ci == 1 {
-                    assert_eq!(
-                        child.as_ref().err(),
-                        Some(&TaskPanic {
-                            message: "child bomb".to_string()
-                        })
-                    );
-                } else {
-                    assert_eq!(child.as_ref().ok(), Some(&(pi as u64 + 1)));
-                }
             }
         }
     }
@@ -395,50 +360,4 @@ fn retry_backoff_doubles_budgets_and_stops_on_first_ok() {
     });
     assert_eq!(out, Err(((), 4)));
     assert_eq!(budgets, vec![0, 0, 0, 0]);
-}
-
-#[test]
-fn cancel_token_latches_and_is_shared_across_clones() {
-    let token = pool::CancelToken::new();
-    let clone = token.clone();
-    assert!(!token.is_cancelled());
-    assert!(!clone.is_cancelled());
-    clone.cancel();
-    assert!(token.is_cancelled(), "cancellation must reach every clone");
-    assert!(token.is_cancelled(), "cancellation must latch");
-
-    // An already-elapsed soft deadline trips on first poll.
-    let expired = pool::CancelToken::with_deadline(std::time::Duration::ZERO);
-    assert!(expired.is_cancelled());
-    assert!(expired.is_cancelled(), "deadline cancellation must latch");
-}
-
-#[test]
-fn cancelled_grid_cells_quarantine_without_deadlock() {
-    // The cooperative-cancellation idiom under the quarantined runner: a
-    // cancelled cell winds down by panicking, which is recorded in its
-    // slot; the submission still joins at every thread count.
-    let token = pool::CancelToken::new();
-    token.cancel();
-    for threads in [1usize, 8] {
-        let token = token.clone();
-        let results = pool::run_indexed_quarantined(
-            (0..12u64).collect::<Vec<_>>(),
-            &ParallelConfig::with_threads(threads),
-            move |i, v| {
-                if token.is_cancelled() && i % 2 == 1 {
-                    panic!("cell {i} cancelled");
-                }
-                v
-            },
-        );
-        assert_eq!(results.len(), 12);
-        for (i, r) in results.iter().enumerate() {
-            assert_eq!(
-                r.is_err(),
-                i % 2 == 1,
-                "cell {i} wrong way at {threads} threads"
-            );
-        }
-    }
 }
