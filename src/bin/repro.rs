@@ -22,12 +22,6 @@
 //!                      REPRO_lower.{json,md}
 //!   sdp                the appendix one-round SDP relaxation on the graph
 //!                      families vs exact optima; writes REPRO_sdp.{json,md}
-//!   trend OLD NEW      diffs two artifact JSONs (any pipeline), matching
-//!                      rows by id and reporting bound-headroom movement.
-//!                      A missing artifact file prints a skip note and
-//!                      exits 0; a present-but-schema-mismatched artifact
-//!                      exits 2 — so CI loops can skip absent generations
-//!                      without swallowing real schema errors
 //!
 //! perf-trend history (the append-only run ledger, see the
 //! `blind_rendezvous::history` module docs):
@@ -43,9 +37,11 @@
 //!                      point) is matched across generations, the latest
 //!                      value compared against the median of the
 //!                      preceding N-generation window (default 5), and
-//!                      classified regressed / improved / flat at the
-//!                      bench gate's tolerance semantics (default 30%).
-//!                      Exits 1 on any regression — the CI gate
+//!                      classified regressed / improved / flat beyond
+//!                      the tolerance (default 30%). N must be a positive
+//!                      integer and P a finite, non-negative number (exit
+//!                      2 otherwise). Exits 1 on any regression — the
+//!                      only perf-regression gate in CI
 //!   dashboard [--history FILE] [--out FILE]
 //!                      renders the ledger (default HISTORY.jsonl) into
 //!                      committed markdown sparkline tables (default
@@ -290,40 +286,40 @@ fn main() {
                 pipelines::sdp::STEM,
             );
         }
-        "trend" => match &history_path {
-            Some(ledger) => {
-                let opts = TrendOptions {
-                    window: flag_value("--window")
-                        .map(|v| {
-                            v.parse().unwrap_or_else(|_| {
-                                eprintln!("--window takes a positive integer");
-                                std::process::exit(2);
-                            })
-                        })
-                        .unwrap_or(5),
-                    max_regression_pct: flag_value("--max-regression-pct")
-                        .map(|v| {
-                            v.parse().unwrap_or_else(|_| {
-                                eprintln!("--max-regression-pct takes a number");
-                                std::process::exit(2);
-                            })
-                        })
-                        .unwrap_or(30.0),
-                    same_host: args.iter().any(|a| a == "--same-host"),
-                };
-                trend_history(ledger, &opts);
-            }
-            None => {
-                let (Some(old), Some(new)) = (positional.get(1), positional.get(2)) else {
-                    eprintln!(
-                        "usage: repro trend OLD.json NEW.json\n       repro trend --history \
-                         LEDGER.jsonl [--window N] [--max-regression-pct P] [--same-host]"
-                    );
-                    std::process::exit(2);
-                };
-                trend(old, new);
-            }
-        },
+        "trend" => {
+            let Some(ledger) = &history_path else {
+                eprintln!(
+                    "usage: repro trend --history LEDGER.jsonl [--window N] \
+                     [--max-regression-pct P] [--same-host]"
+                );
+                std::process::exit(2);
+            };
+            let opts = TrendOptions {
+                window: flag_value("--window")
+                    .map(|v| match v.parse() {
+                        Ok(n) if n > 0 => n,
+                        _ => {
+                            eprintln!("--window takes a positive integer (got {v})");
+                            std::process::exit(2);
+                        }
+                    })
+                    .unwrap_or(5),
+                max_regression_pct: flag_value("--max-regression-pct")
+                    .map(|v| match v.parse::<f64>() {
+                        Ok(p) if p.is_finite() && p >= 0.0 => p,
+                        _ => {
+                            eprintln!(
+                                "--max-regression-pct takes a finite, non-negative number \
+                                 (got {v})"
+                            );
+                            std::process::exit(2);
+                        }
+                    })
+                    .unwrap_or(30.0),
+                same_host: args.iter().any(|a| a == "--same-host"),
+            };
+            trend_history(ledger, &opts);
+        }
         "dashboard" => {
             let ledger = history_path.unwrap_or_else(|| PathBuf::from("HISTORY.jsonl"));
             let out = flag_value("--out")
@@ -451,40 +447,6 @@ fn run_pipeline(ctx: &Ctx, out: PipelineOutput, stem: &str) {
     }
     if !out.violations.is_empty() {
         std::process::exit(1);
-    }
-}
-
-/// `repro trend OLD NEW`: loads two artifact JSONs and reports how much
-/// bound headroom moved per matched row id.
-///
-/// A *missing* artifact file is a skip (exit 0, with a note): scheduled
-/// trend loops legitimately compare against generations that may not
-/// exist yet. A file that exists but fails to parse, or parses without
-/// trend rows ([`report::TrendError`]), is a real schema problem and
-/// exits 2 — CI must not swallow those.
-fn trend(old_path: &str, new_path: &str) {
-    let load = |path: &str| {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            if e.kind() == std::io::ErrorKind::NotFound {
-                println!("trend skipped: artifact {path} missing");
-                std::process::exit(0);
-            }
-            eprintln!("reading {path}: {e}");
-            std::process::exit(2);
-        });
-        serde_json::from_str(&text).unwrap_or_else(|e| {
-            eprintln!("trend: schema mismatch parsing {path}: {e}");
-            std::process::exit(2);
-        })
-    };
-    let old = load(old_path);
-    let new = load(new_path);
-    match report::trend(&old, &new) {
-        Ok(t) => print!("{}", t.render()),
-        Err(e) => {
-            eprintln!("trend: {e}");
-            std::process::exit(2);
-        }
     }
 }
 

@@ -14,12 +14,12 @@
 //!
 //! On top of it sit two read paths:
 //!
-//! * [`analyze`] — the N-generation extension of [`crate::report::trend`]:
-//!   series are matched across generations by key, the latest value is
-//!   compared against the **median of the preceding window**, and each
-//!   series is classified regressed / improved / flat with the bench
-//!   gate's `--max-regression-pct` semantics. `repro trend --history`
-//!   exits non-zero on any regression, which is the CI contract.
+//! * [`analyze`] — the N-generation regression analysis: series are
+//!   matched across generations by key, the latest value is compared
+//!   against the **median of the preceding window**, and each series is
+//!   classified regressed / improved / flat beyond a percentage
+//!   tolerance. `repro trend --history` exits non-zero on any
+//!   regression; it is the repo's only perf-regression gate in CI.
 //! * [`render_dashboard`] — committed-markdown sparkline tables
 //!   (`DASHBOARD.md`). Rendering is a **pure function of the ledger**:
 //!   timestamps come from the ledger lines, never from the clock at
@@ -383,8 +383,7 @@ pub fn format_utc(epoch_secs: u64) -> String {
 /// Builds a pipeline entry from an artifact JSON (a fresh
 /// [`crate::report::PipelineOutput::json`] or a committed `REPRO_*.json`
 /// being backfilled): the `pipeline` and `tier` fields are read from the
-/// artifact itself, the rows through the same extraction `repro trend`
-/// uses ([`crate::report::collect_rows`]).
+/// artifact itself, the rows through [`crate::report::collect_rows`].
 ///
 /// # Errors
 ///
@@ -428,11 +427,11 @@ pub fn entry_from_artifact(
     })
 }
 
-/// The gate columns of a bench suite report, by bench id: the scenario
-/// key column and the gated throughput column. Shared by the
-/// `bench_report` baseline gate and the ledger backfill so both read the
-/// same numbers out of a `BENCH_*.json`.
-pub fn bench_gate_columns(bench: &str) -> (&'static str, &'static str) {
+/// The tracked columns of a bench suite report, by bench id: the scenario
+/// key column and the throughput column the ledger gates. Fresh
+/// `bench_report` runs and the backfill of a committed `BENCH_*.json`
+/// both go through [`entry_from_bench`], so both read the same numbers.
+fn bench_gate_columns(bench: &str) -> (&'static str, &'static str) {
     match bench {
         "multiuser_arena_engine" => ("n_agents", "arena_pair_slots_per_sec"),
         "multiuser_bitplane_kernel" => ("n_agents", "bitplane_pair_slots_per_sec"),
@@ -445,8 +444,9 @@ pub fn bench_gate_columns(bench: &str) -> (&'static str, &'static str) {
 /// Builds a bench entry from a suite report JSON (fresh or a committed
 /// `BENCH_*.json` being backfilled): one row per scenario, keyed
 /// `key=value` (e.g. `n=64`), tracking the suite's gated throughput
-/// column per [`bench_gate_columns`]. Bench reports carry no tier field,
-/// so the caller supplies it.
+/// column (`n_agents` → `arena_pair_slots_per_sec` for the multiuser
+/// suite, and so on per bench id). Bench reports carry no tier field, so
+/// the caller supplies it.
 ///
 /// # Errors
 ///
@@ -519,13 +519,14 @@ pub fn series_key(entry: &LedgerEntry, point_id: &str) -> String {
 pub struct TrendOptions {
     /// How many prior generations the baseline median is taken over.
     pub window: usize,
-    /// The regression tolerance in percent — the bench gate's
-    /// `--max-regression-pct` semantics, applied symmetrically for the
-    /// improved classification.
+    /// The regression tolerance in percent: a series regresses when its
+    /// latest value is more than this far below the window median, and
+    /// improves when it is more than this far above it.
     pub max_regression_pct: f64,
     /// Restrict the baseline window to generations measured on the same
     /// host fingerprint as the latest one (strict like-for-like; off by
-    /// default to match the committed-baseline gate's cross-host norm).
+    /// default, so CI's fresh-runner generation is compared against the
+    /// committed cross-host trajectory).
     pub same_host: bool,
 }
 
@@ -608,8 +609,7 @@ fn median(values: &[f64]) -> f64 {
 /// Matches series across the ledger's generations and classifies each
 /// one: the latest tracked value against the median of the up-to-`window`
 /// preceding generations, regressed/improved beyond
-/// `max_regression_pct`, flat within it — the N-generation extension of
-/// the two-artifact [`crate::report::trend`].
+/// `max_regression_pct`, flat within it.
 pub fn analyze(entries: &[LedgerEntry], opts: &TrendOptions) -> HistoryTrend {
     // Generation-ordered (host_key, tracked) observations per series key.
     let mut observed: BTreeMap<String, Vec<(String, f64)>> = BTreeMap::new();

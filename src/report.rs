@@ -8,9 +8,9 @@
 //! * **Provenance** — every JSON artifact carries the `pipeline` name, the
 //!   [`PAPER`] citation, and the [`Tier`] it was produced at.
 //! * **Ids** — every gridded row carries an `id` (see [`cell_id`]) plus
-//!   numeric `measured` and `bound` fields; [`trend`] matches rows across
-//!   two artifact generations by `id` and reports how much headroom
-//!   (`bound / measured`) moved.
+//!   numeric `measured` and `bound` fields; [`collect_rows`] extracts them
+//!   and the run ledger ([`crate::history`]) tracks each row's headroom
+//!   (`bound / measured`) across generations by `id`.
 //! * **Gating** — proven-bound violations accumulate in the builder; the
 //!   driver exits non-zero if any remain, which is the CI contract.
 //!
@@ -57,8 +57,8 @@ pub fn cell_id(algorithm: &str, timing: &str, scenario: &str, n: u64) -> String 
 }
 
 /// Bound headroom of a row: how many times the measurement fits under
-/// its bound (`bound / max(measured, 1)`), the quantity [`trend`] tracks
-/// across pipeline generations.
+/// its bound (`bound / max(measured, 1)`), the quantity the run ledger
+/// tracks across pipeline generations.
 pub fn headroom(measured: f64, bound: f64) -> f64 {
     bound / measured.max(1.0)
 }
@@ -293,50 +293,12 @@ pub fn write_artifacts(out_dir: &Path, stem: &str, out: &PipelineOutput) -> (Pat
     (json_path, md_path)
 }
 
-/// One id matched across two artifact generations by [`trend`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrendRow {
-    /// The shared row id.
-    pub id: String,
-    /// `measured` in the (old, new) artifacts.
-    pub measured: (f64, f64),
-    /// `bound` in the (old, new) artifacts.
-    pub bound: (f64, f64),
-    /// [`headroom`] in the (old, new) artifacts.
-    pub headroom: (f64, f64),
-}
-
-impl TrendRow {
-    /// Relative headroom movement: `new/old − 1` (positive = the bound
-    /// got *more* comfortable).
-    pub fn movement(&self) -> f64 {
-        if self.headroom.0 > 0.0 {
-            self.headroom.1 / self.headroom.0 - 1.0
-        } else {
-            0.0
-        }
-    }
-}
-
-/// The outcome of diffing two artifact generations.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrendReport {
-    /// The artifacts' pipeline names (old, new).
-    pub pipelines: (String, String),
-    /// Rows present in both artifacts, in id order.
-    pub rows: Vec<TrendRow>,
-    /// Ids only the old artifact has (grid shrank / tier changed).
-    pub only_old: Vec<String>,
-    /// Ids only the new artifact has.
-    pub only_new: Vec<String>,
-}
-
 /// Collects every `(id, measured, bound)` row of an artifact: any object
 /// inside a top-level array carrying a string `"id"` plus numeric
 /// `"measured"` and `"bound"` members — the schema every pipeline's
-/// gridded rows follow. Shared by [`trend`] and the history ledger
-/// (`crate::history::entry_from_artifact`), so a row diffable between two
-/// generations is exactly a row the trajectory tracks.
+/// gridded rows follow. The history ledger reads pipeline rows through
+/// it (`crate::history::entry_from_artifact`), so every gridded row is a
+/// series the trajectory tracks.
 pub fn collect_rows(artifact: &Value) -> BTreeMap<String, (f64, f64)> {
     let mut rows = BTreeMap::new();
     let Value::Object(top) = artifact else {
@@ -359,158 +321,9 @@ pub fn collect_rows(artifact: &Value) -> BTreeMap<String, (f64, f64)> {
     rows
 }
 
-/// Why two artifact generations could not be diffed — typed so callers
-/// (the nightly trend loop in particular) can tell a schema mismatch,
-/// which should fail the run, from a merely missing artifact, which the
-/// driver detects before calling in and skips.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TrendError {
-    /// An artifact parsed as JSON but carries no rows with
-    /// `id`/`measured`/`bound` — the schema every gridded pipeline row
-    /// follows. `generation` names which side (`"old"` / `"new"`).
-    NoRows {
-        /// Which artifact lacked rows: `"old"` or `"new"`.
-        generation: &'static str,
-    },
-}
-
-impl std::fmt::Display for TrendError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TrendError::NoRows { generation } => write!(
-                f,
-                "schema mismatch: the {generation} artifact has no rows with id/measured/bound"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for TrendError {}
-
-/// Diffs two artifact generations (of the same pipeline, typically the
-/// committed copy vs a fresh run), matching gridded rows by id and
-/// reporting how the bound headroom moved — the `repro trend` machinery.
-///
-/// # Errors
-///
-/// [`TrendError::NoRows`] when either artifact carries no matchable rows.
-pub fn trend(old: &Value, new: &Value) -> Result<TrendReport, TrendError> {
-    let pipeline_of = |v: &Value| {
-        v.get("pipeline")
-            .and_then(Value::as_str)
-            .unwrap_or("?")
-            .to_string()
-    };
-    let old_rows = collect_rows(old);
-    let new_rows = collect_rows(new);
-    if old_rows.is_empty() {
-        return Err(TrendError::NoRows { generation: "old" });
-    }
-    if new_rows.is_empty() {
-        return Err(TrendError::NoRows { generation: "new" });
-    }
-    let mut rows = Vec::new();
-    let mut only_old = Vec::new();
-    for (id, &(om, ob)) in &old_rows {
-        match new_rows.get(id) {
-            Some(&(nm, nb)) => rows.push(TrendRow {
-                id: id.clone(),
-                measured: (om, nm),
-                bound: (ob, nb),
-                headroom: (headroom(om, ob), headroom(nm, nb)),
-            }),
-            None => only_old.push(id.clone()),
-        }
-    }
-    let only_new = new_rows
-        .keys()
-        .filter(|id| !old_rows.contains_key(*id))
-        .cloned()
-        .collect();
-    Ok(TrendReport {
-        pipelines: (pipeline_of(old), pipeline_of(new)),
-        rows,
-        only_old,
-        only_new,
-    })
-}
-
-impl TrendReport {
-    /// Renders the movement table (sorted by |movement| descending, ties
-    /// by id) plus the coverage summary.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "trend: {} (old) vs {} (new), {} matched row(s)\n",
-            self.pipelines.0,
-            self.pipelines.1,
-            self.rows.len()
-        ));
-        if self.pipelines.0 != self.pipelines.1 {
-            out.push_str("WARNING: the artifacts come from different pipelines\n");
-        }
-        out.push_str(&format!(
-            "{:<44}{:>12}{:>12}{:>11}{:>11}{:>9}\n",
-            "id", "measured", "bound", "headroom", "was", "move"
-        ));
-        let mut sorted: Vec<&TrendRow> = self.rows.iter().collect();
-        sorted.sort_by(|a, b| {
-            b.movement()
-                .abs()
-                .partial_cmp(&a.movement().abs())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.id.cmp(&b.id))
-        });
-        for row in sorted {
-            out.push_str(&format!(
-                "{:<44}{:>12}{:>12}{:>10.2}x{:>10.2}x{:>+8.1}%\n",
-                row.id,
-                row.measured.1,
-                row.bound.1,
-                row.headroom.1,
-                row.headroom.0,
-                row.movement() * 100.0
-            ));
-        }
-        let (better, worse): (Vec<_>, Vec<_>) = self
-            .rows
-            .iter()
-            .filter(|r| r.movement().abs() > 1e-9)
-            .partition(|r| r.movement() > 0.0);
-        out.push_str(&format!(
-            "headroom widened on {} row(s), narrowed on {}, flat on {}\n",
-            better.len(),
-            worse.len(),
-            self.rows.len() - better.len() - worse.len()
-        ));
-        if !self.only_old.is_empty() || !self.only_new.is_empty() {
-            out.push_str(&format!(
-                "unmatched ids: {} only in old, {} only in new (tier or grid changed)\n",
-                self.only_old.len(),
-                self.only_new.len()
-            ));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn row(id: &str, measured: u64, bound: u64) -> Value {
-        Value::object([
-            ("id", Value::from(id.to_string())),
-            ("measured", Value::from(measured)),
-            ("bound", Value::from(bound)),
-        ])
-    }
-
-    fn artifact(pipeline: &'static str, rows: Vec<Value>) -> Value {
-        let mut a = Artifact::new(pipeline, Tier::Smoke);
-        a.section("rows", Value::Array(rows));
-        a.finish(String::new()).json
-    }
 
     #[test]
     fn finish_merges_provenance_and_violations() {
@@ -538,45 +351,6 @@ mod tests {
                 .len(),
             1
         );
-    }
-
-    #[test]
-    fn trend_matches_rows_by_id() {
-        let old = artifact(
-            "lower",
-            vec![row("a/async/sym/n=8", 100, 1000), row("gone", 5, 10)],
-        );
-        let new = artifact(
-            "lower",
-            vec![row("a/async/sym/n=8", 50, 1000), row("fresh", 7, 10)],
-        );
-        let t = trend(&old, &new).unwrap();
-        assert_eq!(t.rows.len(), 1);
-        let r = &t.rows[0];
-        assert_eq!(r.headroom, (10.0, 20.0));
-        assert!((r.movement() - 1.0).abs() < 1e-12, "headroom doubled");
-        assert_eq!(t.only_old, vec!["gone".to_string()]);
-        assert_eq!(t.only_new, vec!["fresh".to_string()]);
-        let rendered = t.render();
-        assert!(rendered.contains("a/async/sym/n=8"));
-        assert!(rendered.contains("widened on 1 row(s)"));
-    }
-
-    #[test]
-    fn trend_rejects_rowless_artifacts_with_typed_errors() {
-        let empty = artifact("lower", vec![]);
-        let full = artifact("lower", vec![row("x", 1, 2)]);
-        assert_eq!(
-            trend(&empty, &full),
-            Err(TrendError::NoRows { generation: "old" })
-        );
-        assert_eq!(
-            trend(&full, &empty),
-            Err(TrendError::NoRows { generation: "new" })
-        );
-        assert!(TrendError::NoRows { generation: "new" }
-            .to_string()
-            .contains("schema mismatch"));
     }
 
     #[test]

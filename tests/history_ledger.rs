@@ -2,8 +2,9 @@
 //! (unit + property), corrupt-line isolation, N-generation regression
 //! detection through the real `repro` binary (exit codes included), the
 //! dashboard's byte-determinism, the committed `HISTORY.jsonl` →
-//! `DASHBOARD.md` regeneration pin, and the typed missing-vs-mismatch
-//! split of the two-artifact trend mode.
+//! `DASHBOARD.md` regeneration pin, the ledger's coverage of every
+//! committed `BENCH_*.json` point, and `bench_report`'s speedup floors
+//! and usage errors.
 
 use blind_rendezvous::history::{
     self, analyze, EntryKind, HostFingerprint, LedgerEntry, SeriesClass, SeriesPoint, TrendOptions,
@@ -294,6 +295,26 @@ fn repro_trend_history_exits_nonzero_and_names_the_regression() {
         "healthy ledger must exit 0: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+
+    // Values that would disable or distort the gate are usage errors: a
+    // NaN tolerance classifies nothing, a negative one fails every flat
+    // series, and a zero window is not a window.
+    for (flag, value) in [
+        ("--max-regression-pct", "nan"),
+        ("--max-regression-pct", "inf"),
+        ("--max-regression-pct", "-5"),
+        ("--window", "0"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["trend", "--history"])
+            .arg(&path)
+            .args([flag, value])
+            .output()
+            .expect("run repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
+    }
 }
 
 #[test]
@@ -349,35 +370,85 @@ fn committed_dashboard_regenerates_from_committed_ledger() {
 }
 
 #[test]
-fn two_artifact_trend_distinguishes_missing_from_mismatch() {
+fn two_artifact_trend_is_a_usage_error() {
+    // The ledger is the only trend source: `repro trend OLD NEW` without
+    // `--history` exits 2 with the usage line.
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let committed = root.join("REPRO_table1.json");
-    // Missing artifact: a skip, not a failure (exit 0 with a note).
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .arg("trend")
-        .arg(&committed)
-        .arg(scratch("definitely_absent.json"))
-        .output()
-        .expect("run repro trend");
-    assert_eq!(out.status.code(), Some(0));
-    assert!(
-        String::from_utf8_lossy(&out.stdout).contains("trend skipped"),
-        "skip is explicit"
-    );
-    // Present but schema-mismatched artifact: a hard failure (exit 2).
-    let rowless = scratch("rowless.json");
-    std::fs::write(&rowless, "{\"pipeline\": \"table1\", \"rows\": []}\n").expect("write");
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .arg("trend")
-        .arg(&committed)
-        .arg(&rowless)
+        .arg(root.join("REPRO_table1.json"))
+        .arg(root.join("REPRO_table1.json"))
         .output()
         .expect("run repro trend");
     assert_eq!(out.status.code(), Some(2));
     assert!(
-        String::from_utf8_lossy(&out.stderr).contains("schema mismatch"),
-        "mismatch is loud"
+        String::from_utf8_lossy(&out.stderr).contains("usage: repro trend --history"),
+        "usage is printed"
     );
+}
+
+#[test]
+fn committed_ledger_gates_every_committed_bench_point() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let ledger = history::read(&root.join("HISTORY.jsonl")).expect("committed ledger");
+    assert!(ledger.skipped.is_empty());
+    // CI's window and tolerance.
+    let opts = TrendOptions::default();
+    let with = |entry: &LedgerEntry| {
+        let mut entries = ledger.entries.clone();
+        entries.push(entry.clone());
+        analyze(&entries, &opts)
+    };
+    for file in [
+        "BENCH_kernel.json",
+        "BENCH_multiuser.json",
+        "BENCH_faults.json",
+        "BENCH_tree.json",
+    ] {
+        let text = std::fs::read_to_string(root.join(file)).expect("committed bench report");
+        let doc: serde_json::Value = serde_json::from_str(&text).expect("bench report parses");
+        let points =
+            history::entry_from_bench(&doc, "smoke", "c", &host(2), "2026-10-01T00:00:00Z")
+                .expect("bench entry");
+        let keys: Vec<String> = points
+            .rows
+            .iter()
+            .map(|r| history::series_key(&points, &r.id))
+            .collect();
+        // The window median each point of a new generation is compared
+        // against; a point with no committed series has none.
+        let probe = with(&points);
+        let medians: Vec<f64> = keys
+            .iter()
+            .map(|key| {
+                probe
+                    .series
+                    .iter()
+                    .find(|s| &s.key == key)
+                    .and_then(|s| s.baseline)
+                    .unwrap_or_else(|| panic!("{file}: {key} is not a ledger series"))
+            })
+            .collect();
+        // A smoke-tier generation at `scale` × every point's window median.
+        let at = |scale: f64| {
+            let mut entry = points.clone();
+            for (row, median) in entry.rows.iter_mut().zip(&medians) {
+                row.value = scale * median;
+            }
+            with(&entry)
+        };
+        let slow = at(0.65);
+        for key in &keys {
+            let series = slow.series.iter().find(|s| &s.key == key).expect("series");
+            assert_eq!(series.class, SeriesClass::Regressed, "{file}: {key}");
+        }
+        assert_eq!(
+            slow.regressed().len(),
+            keys.len(),
+            "{file}: only its points"
+        );
+        assert!(at(1.0).regressed().is_empty(), "{file}: at the median");
+    }
 }
 
 #[test]
@@ -475,4 +546,52 @@ fn bench_speedup_gates_skip_loudly_on_single_core_hosts() {
         vec!["n=16", "n=64", "n=256"],
         "gate points keyed by bench id column"
     );
+
+    // A floor that cannot be met fails the run on a multi-core host (exit
+    // 1 with the floor line on stderr) and is skipped on a single-core
+    // one.
+    let out = Command::new(env!("CARGO_BIN_EXE_bench_report"))
+        .args(["--suite", "tree", "--smoke", "--min-tree-speedup", "999"])
+        .arg("--out-dir")
+        .arg(&dir)
+        .output()
+        .expect("run bench_report");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    if single_core {
+        assert_eq!(out.status.code(), Some(0), "{stderr}");
+        assert!(
+            stdout.contains("skipping --min-tree-speedup gate: host_threads == 1"),
+            "tree gate skip is explicit: {stdout}"
+        );
+    } else {
+        assert_eq!(out.status.code(), Some(1), "{stdout}");
+        assert!(
+            stderr.contains("PERF REGRESSION: task-tree grid speedup")
+                && stderr.contains("below the 999x floor"),
+            "floor line names the gate: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn bench_report_argument_errors_exit_2() {
+    // A stale invocation fails loudly instead of silently gating nothing.
+    for args in [
+        &["--baseline", "BENCH_kernel.json"][..],
+        &["--min-tree-speedup"],
+        &["--min-tree-speedup", "abc"],
+        &["--suite", "nope"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_bench_report"))
+            .args(args)
+            .output()
+            .expect("run bench_report");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(args[0]),
+            "{args:?} names the flag: {stderr}"
+        );
+    }
 }

@@ -150,10 +150,29 @@ fn faults_pipeline_is_thread_count_invariant_and_matches_committed() {
 
 #[test]
 fn trend_reports_movement_between_generations() {
-    // A pipeline diffed against itself is all-flat; against a perturbed
-    // clone it reports exactly the touched row.
+    // A pipeline run recorded twice in the ledger is all-flat; a third
+    // generation with one row's measurement doubled (its headroom halved)
+    // regresses exactly that row.
+    use blind_rendezvous::history::{self, HostFingerprint, SeriesClass, TrendOptions};
     let out = pipelines::sdp::run(Tier::Smoke, 1);
-    let t = blind_rendezvous::report::trend(&out.json, &out.json).expect("rows exist");
-    assert!(t.rows.iter().all(|r| r.movement().abs() < 1e-12));
-    assert!(t.only_old.is_empty() && t.only_new.is_empty());
+    let host = HostFingerprint::detect();
+    let entry = history::entry_from_artifact(&out.json, "c", &host, "2026-08-08T00:00:00Z")
+        .expect("rows exist");
+    let mut entries = vec![entry.clone(), entry.clone()];
+    let flat = history::analyze(&entries, &TrendOptions::default());
+    assert_eq!(flat.series.len(), entry.rows.len());
+    assert!(flat
+        .series
+        .iter()
+        .all(|s| s.class == SeriesClass::Flat && s.delta_pct == Some(0.0)));
+
+    let mut perturbed = entry.clone();
+    perturbed.rows[0].value *= 2.0;
+    entries.push(perturbed);
+    let moved = history::analyze(&entries, &TrendOptions::default());
+    let regressed: Vec<&str> = moved.regressed().iter().map(|s| s.key.as_str()).collect();
+    assert_eq!(
+        regressed,
+        vec![history::series_key(&entry, &entry.rows[0].id).as_str()]
+    );
 }
