@@ -1,5 +1,6 @@
-//! E11/E12 timing: the beacon protocols' per-slot cost (min-wise hashing
-//! for A; expander-walk replay for B) and end-to-end TTR measurement.
+//! Beacon protocol timing: per-slot cost (min-wise hashing for A;
+//! expander-walk replay for B) and end-to-end TTR measurement. Slot
+//! counts are the beacon rows of `repro table1`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rdv_beacon::{BeaconProtocolA, BeaconProtocolB, BeaconStream, MinwiseFamily};

@@ -1,6 +1,7 @@
-//! E8/E9/E10/E13 timing: the exhaustive CSP search behind the exact
+//! Lower-bound and SDP timing: the exhaustive CSP search behind the exact
 //! `R_s(n,2)` values, the pigeonhole certificate construction, the
-//! Theorem 7 density witnesses, and the SDP solve + rounding.
+//! Theorem 7 density witnesses (the `exact`, `pigeonhole` and `density`
+//! sections of `repro lower`), and the SDP solve + rounding (`repro sdp`).
 //!
 //! `density_witness_n24` runs `worst_overlap_one_pair` with the `lower`
 //! pipeline's arguments (`n = 24`, `T = 2²²`, shift stride 5, at most 128

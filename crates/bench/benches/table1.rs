@@ -1,8 +1,8 @@
-//! Timed versions of the Table 1 cells (E1/E2): TTR **evaluation** cost per
+//! Timed versions of the Table 1 cells: TTR **evaluation** cost per
 //! algorithm at growing universe sizes. Schedules are built once outside
 //! the timed closures (`prepare_pair`), so these numbers are pure kernel
 //! cost; `construction.rs` tracks build cost separately. Slot-count tables
-//! come from `repro table1-asym` / `table1-sym`.
+//! come from `repro table1` (`REPRO_table1.{json,md}`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rdv_bench::{eval_ttr, prepare_pair, scenario};

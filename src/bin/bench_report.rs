@@ -52,9 +52,10 @@
 //! *skipped with an explicit log line* instead of producing a number that
 //! looks like a verdict.
 //!
-//! A bad argument (an unknown flag, a missing or unparsable value, an
-//! unknown suite) prints a message and exits 2.
+//! A bad argument (an unknown or repeated flag, a missing or unparsable
+//! value, an unknown suite) prints a message and exits 2.
 
+use blind_rendezvous::cli;
 use blind_rendezvous::core::general::GeneralSchedule;
 use blind_rendezvous::core::verify;
 use blind_rendezvous::history::{self, HostFingerprint};
@@ -864,45 +865,26 @@ impl Floor {
 
 /// Prints a usage error and exits 2, the code `repro` uses for bad
 /// arguments.
-fn usage_error(msg: &str) -> ! {
+fn usage_error(msg: &dyn std::fmt::Display) -> ! {
     eprintln!("bench_report: {msg} (see the module docs for the flag list)");
     std::process::exit(2);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // A present flag with a missing (or flag-shaped) value, and any
-    // argument that is not a recognized flag, is a hard error: silently
-    // ignoring either would turn a CI gate into a no-op (e.g. a typoed
-    // `--min-arena-speed` would drop the speedup floor with a green exit).
-    let value_flags: Vec<&str> = FLOORS
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let value_flags: Vec<&'static str> = FLOORS
         .iter()
         .map(|f| f.flag)
         .chain(["--suite", "--out-dir", "--history"])
         .collect();
-    let mut expect_value = false;
-    for arg in &args {
-        if std::mem::take(&mut expect_value) {
-            continue;
-        }
-        if value_flags.contains(&arg.as_str()) {
-            expect_value = true;
-        } else if arg != "--smoke" {
-            usage_error(&format!("unrecognized argument {arg}"));
-        }
+    let args = cli::parse(&argv, &value_flags, &["--smoke"]).unwrap_or_else(|e| usage_error(&e));
+    if let Some(arg) = args.positionals.first() {
+        usage_error(&cli::UsageError::Unrecognized(arg.clone()));
     }
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .map(|i| match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => v.clone(),
-                _ => usage_error(&format!("{name} requires a value")),
-            })
-    };
     let mut floors: Vec<(&Floor, f64)> = FLOORS
         .iter()
         .filter_map(|f| {
-            let v = flag_value(f.flag)?;
+            let v = args.value(f.flag)?;
             match v.parse::<f64>() {
                 Ok(min) if min.is_finite() && min >= 0.0 => Some((f, min)),
                 _ => usage_error(&format!(
@@ -912,15 +894,15 @@ fn main() {
             }
         })
         .collect();
-    let history_path: Option<String> = flag_value("--history");
-    let suite_filter = flag_value("--suite").unwrap_or_else(|| "all".to_string());
-    if !["kernel", "multiuser", "tree", "faults", "all"].contains(&suite_filter.as_str()) {
+    let history_path = args.value("--history");
+    let suite_filter = args.value("--suite").unwrap_or("all");
+    if !["kernel", "multiuser", "tree", "faults", "all"].contains(&suite_filter) {
         usage_error(&format!(
             "--suite takes kernel, multiuser, tree, faults, or all (got {suite_filter})"
         ));
     }
-    let out_dir = flag_value("--out-dir").unwrap_or_else(|| ".".to_string());
-    let smoke = args.iter().any(|a| a == "--smoke");
+    let out_dir = args.value("--out-dir").unwrap_or(".");
+    let smoke = args.has("--smoke");
     // Single-core honesty: a 1-hardware-thread host cannot overlap work,
     // so parallel-vs-sequential speedup ratios only measure the
     // spawn-amortization floor — not the quantity the floors gate. Skip
@@ -953,7 +935,7 @@ fn main() {
         suites.push(faults_suite(smoke));
     }
 
-    std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| panic!("creating {out_dir}: {e}"));
+    std::fs::create_dir_all(out_dir).unwrap_or_else(|e| panic!("creating {out_dir}: {e}"));
     for suite in &suites {
         let path = format!("{}/{}", out_dir.trim_end_matches('/'), suite.file);
         // Atomic commit: a crash mid-write must never leave a partial
@@ -967,7 +949,7 @@ fn main() {
     // Append every measured suite to the perf-trend ledger (one JSONL
     // line per suite) before any gate can exit — a regressing run is
     // exactly the generation the trajectory must record.
-    if let Some(ledger) = &history_path {
+    if let Some(ledger) = history_path {
         let ledger = std::path::Path::new(ledger);
         let (commit, utc) = history::writer_context();
         let host = HostFingerprint::detect();

@@ -1,13 +1,18 @@
-//! The experiment driver: regenerates every table and figure of the paper,
-//! plus the one-command machine-readable reproduction pipelines.
+//! The reproduction CLI: regenerates the paper's tables and bounds as
+//! machine-readable, gated artifacts, and reads the run ledger.
 //!
 //! ```text
-//! repro [--quick | --smoke] [--out-dir DIR] <experiment> [args...]
+//! repro [--quick | --smoke] [--out-dir DIR] [<command>] [args...]
 //!
 //! artifact pipelines (JSON + markdown, gated, CI-diffed bit-for-bit):
-//!   table1         E0  all eight algorithms × sync/async × sym/asym,
-//!                      measured against the Theorems 3–5 bounds; writes
-//!                      REPRO_table1.{json,md}, exits non-zero on a violation
+//!   table1             all eight algorithms × sync/async × sym/asym,
+//!                      measured against the Theorems 3–5 bounds, each
+//!                      async curve with its fitted growth exponent in n;
+//!                      plus the pair_period section: Theorem 1's
+//!                      O(log log n) pair-schedule period against n, the
+//!                      worst async TTR of two overlapping pairs gated
+//!                      against one period. Writes REPRO_table1.{json,md},
+//!                      exits non-zero on a violation
 //!   table1 --faults P  the fault-injection variant: the arena engine under
 //!                      the named fault profile ('light' or 'heavy'),
 //!                      sweeping outage × churn axes on the quarantined
@@ -22,6 +27,8 @@
 //!                      REPRO_lower.{json,md}
 //!   sdp                the appendix one-round SDP relaxation on the graph
 //!                      families vs exact optima; writes REPRO_sdp.{json,md}
+//!   all                (the default) every artifact pipeline, in order:
+//!                      table1, table1 --faults light, lower, sdp
 //!
 //! perf-trend history (the append-only run ledger, see the
 //! `blind_rendezvous::history` module docs):
@@ -73,18 +80,6 @@
 //!                      Either way the resumed artifact is byte-identical
 //!                      to an uninterrupted run, failed cells included
 //!
-//! console experiments:
-//!   table1-asym    E1  Table 1, asymmetric column (TTR vs n, fitted exponents)
-//!   table1-sym     E2  Table 1, symmetric column
-//!   thm3-scaling   E3  O(|A||B| log log n) headline scaling
-//!   pair-loglog    E7  Theorem 1 period/TTR vs n (doubly logarithmic)
-//!   figures        E4-E6  Figures 1, 2, 3 (ASCII renderings)
-//!   lb-exact       E8  exact R_s(n,2) / cyclic R_a(n,2) by exhaustive search
-//!   lb-sync        E9  Theorem 6 pigeonhole certificates
-//!   lb-async       E10 Theorem 7 density witnesses (Ω(kℓ))
-//!   beacon         E11/E12  one-bit beacon protocols A and B
-//!   all            everything, in order
-//!
 //! tiers:
 //!   (default)      full paper-scale grids
 //!   --quick        smaller grids, same shapes
@@ -95,7 +90,10 @@
 //!   0  success — every cell completed and every gated bound held
 //!   1  a gated bound violation (the CI contract for committed artifacts),
 //!      or `history fsck` found corruption without --repair
-//!   2  usage error (unknown experiment, bad arguments)
+//!   2  usage error: an unknown command or flag, a repeated flag, a flag
+//!      value that is missing or unparsable, --smoke with --quick,
+//!      --faults or --sabotage with any command but table1, --sabotage
+//!      without --faults
 //!   3  degraded partial artifact — some grid cells failed (panic or
 //!      sampling exhaustion); the artifact's failed_cells section lists
 //!      them. Takes precedence over 1.
@@ -103,113 +101,88 @@
 //!      missing, headerless, or stale (written by a different
 //!      pipeline/tier/commit/config), or the journal file is unreadable
 //! ```
+//!
+//! The paper's Figures 1–3 print from `cargo run --example figures`.
 
 use blind_rendezvous::checkpoint::{self, Journal};
+use blind_rendezvous::cli;
 use blind_rendezvous::history::{self, HostFingerprint, TrendOptions};
-use blind_rendezvous::pipelines;
-use blind_rendezvous::prelude::*;
+use blind_rendezvous::pipelines::{self, faults::Sabotage};
 use blind_rendezvous::report::{self, PipelineOutput, Tier};
-use rdv_core::channel::ChannelSet;
 use rdv_core::fault::FaultProfile;
-use rdv_lower::{density, exact, pigeonhole};
-use rdv_sim::stats::growth_exponent;
-use rdv_sim::sweep::{sweep_pair_ttr, SweepConfig};
-use rdv_sim::workload;
-use rdv_strings::{rmap::RCode, Bits};
+use std::fmt::Display;
 use std::path::PathBuf;
 
+/// Prints a usage error and exits 2.
+fn usage_error(msg: impl Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let tier = if args.iter().any(|a| a == "--smoke") {
-        Tier::Smoke
-    } else if args.iter().any(|a| a == "--quick") {
-        Tier::Quick
-    } else {
-        Tier::Full
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = cli::parse(
+        &argv,
+        &[
+            "--out-dir",
+            "--faults",
+            "--history",
+            "--window",
+            "--max-regression-pct",
+            "--out",
+            "--checkpoint",
+            "--resume",
+        ],
+        &[
+            "--smoke",
+            "--quick",
+            "--sabotage",
+            "--same-host",
+            "--repair",
+        ],
+    )
+    .unwrap_or_else(|e| usage_error(format!("{e}; see the module docs")));
+    let positional = &args.positionals;
+    let cmd = positional.first().map_or("all", String::as_str);
+    let tier = match (args.has("--smoke"), args.has("--quick")) {
+        (true, true) => usage_error("--smoke and --quick are mutually exclusive"),
+        (true, false) => Tier::Smoke,
+        (false, true) => Tier::Quick,
+        (false, false) => Tier::Full,
     };
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out-dir")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("."));
-    let faults = args.iter().position(|a| a == "--faults").map(|i| {
-        match args.get(i + 1).map(String::as_str) {
-            Some(name) if !name.starts_with("--") => {
-                FaultProfile::named(name).unwrap_or_else(|| {
-                    eprintln!("unknown fault profile {name:?}; known: light, heavy");
-                    std::process::exit(2);
-                })
-            }
-            _ => {
-                eprintln!("usage: repro table1 --faults <light|heavy> [--sabotage]");
-                std::process::exit(2);
-            }
-        }
+    if cmd != "table1" && (args.has("--faults") || args.has("--sabotage")) {
+        usage_error("--faults and --sabotage only apply to the table1 pipeline");
+    }
+    if args.has("--sabotage") && !args.has("--faults") {
+        usage_error("--sabotage requires --faults <light|heavy>");
+    }
+    let faults = args.value("--faults").map(|name| {
+        FaultProfile::named(name).unwrap_or_else(|| {
+            usage_error(format!(
+                "unknown fault profile {name:?}; known: light, heavy"
+            ))
+        })
     });
-    let sabotage = if args.iter().any(|a| a == "--sabotage") {
+    let sabotage = if args.has("--sabotage") {
         // Fixed cell indices so the degraded artifact — and the CI
         // exit-code check against it — is deterministic.
-        pipelines::faults::Sabotage {
+        Sabotage {
             poison_cell: Some(1),
             exhaust_cell: Some(2),
         }
     } else {
-        pipelines::faults::Sabotage::NONE
+        Sabotage::NONE
     };
-    // A value-taking flag's value, with a hard usage error when the value
-    // is missing or flag-shaped.
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .map(|i| match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => v.clone(),
-                _ => {
-                    eprintln!("{name} requires a value");
-                    std::process::exit(2);
-                }
-            })
-    };
-    let history_path = flag_value("--history").map(PathBuf::from);
-    let checkpoint_path = flag_value("--checkpoint").map(PathBuf::from);
-    let resume_path = flag_value("--resume").map(PathBuf::from);
+    let history_path = args.value("--history").map(PathBuf::from);
+    let checkpoint_path = args.value("--checkpoint").map(PathBuf::from);
+    let resume_path = args.value("--resume").map(PathBuf::from);
     if checkpoint_path.is_some() && resume_path.is_some() {
-        eprintln!("--checkpoint and --resume are mutually exclusive");
-        std::process::exit(2);
+        usage_error("--checkpoint and --resume are mutually exclusive");
     }
-    // Positional arguments: everything that is neither a flag nor the
-    // value of a value-taking flag.
-    const VALUE_FLAGS: [&str; 8] = [
-        "--out-dir",
-        "--faults",
-        "--history",
-        "--window",
-        "--max-regression-pct",
-        "--out",
-        "--checkpoint",
-        "--resume",
-    ];
-    let mut positional: Vec<&str> = Vec::new();
-    let mut skip_next = false;
-    for a in &args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            skip_next = true;
-            continue;
-        }
-        if !a.starts_with("--") {
-            positional.push(a);
-        }
-    }
-    let cmd = positional.first().copied().unwrap_or("all");
     if (checkpoint_path.is_some() || resume_path.is_some())
         && !matches!(cmd, "table1" | "lower" | "sdp")
     {
-        eprintln!("--checkpoint/--resume only apply to the table1, lower, and sdp pipelines");
-        std::process::exit(2);
+        usage_error("--checkpoint/--resume only apply to the table1, lower, and sdp pipelines");
     }
     // The journal for this run, under the given fingerprint:
     // `--checkpoint` opens leniently (resume a compatible journal, start
@@ -246,8 +219,7 @@ fn main() {
         Some(journal)
     };
     let ctx = Ctx {
-        tier,
-        out_dir,
+        out_dir: PathBuf::from(args.value("--out-dir").unwrap_or(".")),
         history: history_path.clone(),
     };
     match cmd {
@@ -288,113 +260,76 @@ fn main() {
         }
         "trend" => {
             let Some(ledger) = &history_path else {
-                eprintln!(
+                usage_error(
                     "usage: repro trend --history LEDGER.jsonl [--window N] \
-                     [--max-regression-pct P] [--same-host]"
+                     [--max-regression-pct P] [--same-host]",
                 );
-                std::process::exit(2);
             };
             let opts = TrendOptions {
-                window: flag_value("--window")
+                window: args
+                    .value("--window")
                     .map(|v| match v.parse() {
                         Ok(n) if n > 0 => n,
-                        _ => {
-                            eprintln!("--window takes a positive integer (got {v})");
-                            std::process::exit(2);
-                        }
+                        _ => usage_error(format!("--window takes a positive integer (got {v})")),
                     })
                     .unwrap_or(5),
-                max_regression_pct: flag_value("--max-regression-pct")
+                max_regression_pct: args
+                    .value("--max-regression-pct")
                     .map(|v| match v.parse::<f64>() {
                         Ok(p) if p.is_finite() && p >= 0.0 => p,
-                        _ => {
-                            eprintln!(
-                                "--max-regression-pct takes a finite, non-negative number \
-                                 (got {v})"
-                            );
-                            std::process::exit(2);
-                        }
+                        _ => usage_error(format!(
+                            "--max-regression-pct takes a finite, non-negative number (got {v})"
+                        )),
                     })
                     .unwrap_or(30.0),
-                same_host: args.iter().any(|a| a == "--same-host"),
+                same_host: args.has("--same-host"),
             };
             trend_history(ledger, &opts);
         }
         "dashboard" => {
             let ledger = history_path.unwrap_or_else(|| PathBuf::from("HISTORY.jsonl"));
-            let out = flag_value("--out")
-                .map(PathBuf::from)
-                .unwrap_or_else(|| PathBuf::from("DASHBOARD.md"));
+            let out = PathBuf::from(args.value("--out").unwrap_or("DASHBOARD.md"));
             dashboard(&ledger, &out);
         }
         "history-import" => {
             let Some(ledger) = &history_path else {
-                eprintln!("usage: repro history-import ARTIFACT.json... --history LEDGER.jsonl");
-                std::process::exit(2);
+                usage_error("usage: repro history-import ARTIFACT.json... --history LEDGER.jsonl");
             };
             if positional.len() < 2 {
-                eprintln!("history-import: no artifact files given");
-                std::process::exit(2);
+                usage_error("history-import: no artifact files given");
             }
             history_import(ledger, &positional[1..], tier);
         }
-        "history" => match positional.get(1).copied() {
+        "history" => match positional.get(1).map(String::as_str) {
             Some("fsck") => {
                 let ledger = history_path.unwrap_or_else(|| PathBuf::from("HISTORY.jsonl"));
-                history_fsck(&ledger, args.iter().any(|a| a == "--repair"));
+                history_fsck(&ledger, args.has("--repair"));
             }
-            _ => {
-                eprintln!("usage: repro history fsck [--repair] [--history LEDGER.jsonl]");
-                std::process::exit(2);
-            }
+            _ => usage_error("usage: repro history fsck [--repair] [--history LEDGER.jsonl]"),
         },
-        "table1-asym" => table1_asym(&ctx),
-        "table1-sym" => table1_sym(&ctx),
-        "thm3-scaling" => thm3_scaling(&ctx),
-        "pair-loglog" => pair_loglog(&ctx),
-        "figures" => figures(),
-        "lb-exact" => lb_exact(&ctx),
-        "lb-sync" => lb_sync(&ctx),
-        "lb-async" => lb_async(&ctx),
-        "beacon" => beacon(&ctx),
         "all" => {
+            let light = FaultProfile::named("light").expect("a committed fault profile");
             run_pipeline(
                 &ctx,
                 pipelines::table1::run(tier, 0),
                 pipelines::table1::STEM,
             );
+            run_pipeline(
+                &ctx,
+                pipelines::faults::run(tier, 0, light, Sabotage::NONE),
+                pipelines::faults::STEM,
+            );
             run_pipeline(&ctx, pipelines::lower::run(tier, 0), pipelines::lower::STEM);
             run_pipeline(&ctx, pipelines::sdp::run(tier, 0), pipelines::sdp::STEM);
-            table1_asym(&ctx);
-            table1_sym(&ctx);
-            thm3_scaling(&ctx);
-            pair_loglog(&ctx);
-            figures();
-            lb_exact(&ctx);
-            lb_sync(&ctx);
-            lb_async(&ctx);
-            beacon(&ctx);
         }
-        other => {
-            eprintln!("unknown experiment {other:?}; see the module docs");
-            std::process::exit(2);
-        }
+        other => usage_error(format!("unknown experiment {other:?}; see the module docs")),
     }
 }
 
 struct Ctx {
-    tier: Tier,
     out_dir: PathBuf,
     /// The run ledger pipeline runs append to (`--history`).
     history: Option<PathBuf>,
-}
-
-impl Ctx {
-    /// Whether the classic experiments should use their reduced grids
-    /// (both `--quick` and `--smoke` do).
-    fn quick(&self) -> bool {
-        self.tier != Tier::Full
-    }
 }
 
 /// Writes one pipeline's artifact pair and enforces its gates: failed grid
@@ -559,7 +494,7 @@ fn dashboard(ledger_path: &std::path::Path, out_path: &std::path::Path) {
 /// `repro history-import`: backfills ledger entries from committed
 /// artifact / bench snapshots. Pipeline artifacts carry their own
 /// provenance; bench reports record the CLI `tier`.
-fn history_import(ledger_path: &std::path::Path, files: &[&str], tier: Tier) {
+fn history_import(ledger_path: &std::path::Path, files: &[String], tier: Tier) {
     let (commit, utc) = history::writer_context();
     let host = HostFingerprint::detect();
     for path in files {
@@ -592,432 +527,4 @@ fn history_import(ledger_path: &std::path::Path, files: &[&str], tier: Tier) {
             ledger_path.display()
         );
     }
-}
-
-fn header(title: &str) {
-    println!();
-    println!("==== {title} ====");
-    println!();
-}
-
-/// E1 — Table 1, asymmetric column: worst/mean TTR vs n per algorithm,
-/// adversarial overlap-one pairs, plus fitted growth exponents.
-fn table1_asym(ctx: &Ctx) {
-    header("E1: Table 1 (asymmetric) — max TTR over wake-up shifts, |A|=|B|=4, |A∩B|=1");
-    let ns: &[u64] = if ctx.quick() {
-        &[8, 16, 32]
-    } else {
-        &[8, 16, 32, 64, 128]
-    };
-    let cfg = SweepConfig {
-        shifts: if ctx.quick() { 64 } else { 1024 },
-        shift_stride: 13,
-        spread_over_period: true,
-        seeds: 6,
-        horizon_override: 0,
-        threads: 0,
-    };
-    let algos = [
-        Algorithm::Crseq,
-        Algorithm::JumpStay,
-        Algorithm::Drds,
-        Algorithm::Ours,
-        Algorithm::Random,
-    ];
-    print!("{:<16}", "algorithm");
-    for n in ns {
-        print!("{:>10}", format!("n={n}"));
-    }
-    println!("{:>9}{:>9}", "exp(n)", "paper");
-    let paper_exp = [
-        "2 (n^2)",
-        "3 (n^3)",
-        "2 (n^2)",
-        "~0 (kl loglog n)",
-        "~0 (kl log n)",
-    ];
-    let geometries = if ctx.quick() { 3 } else { 8 };
-    for (algo, paper) in algos.iter().zip(paper_exp) {
-        let mut points = Vec::new();
-        print!("{:<16}", algo.to_string());
-        for &n in ns {
-            // Worst case over several overlap geometries × many shifts:
-            // the adversarial boundary pair plus seeded random overlaps.
-            let mut scenarios = vec![workload::adversarial_overlap_one(n, 4, 4).expect("fits")];
-            for seed in 0..geometries {
-                scenarios.push(workload::random_overlapping_pair(n, 4, 4, seed).expect("fits"));
-            }
-            let mut worst = 0u64;
-            let mut failures = 0usize;
-            for scenario in &scenarios {
-                let s = sweep_pair_ttr(*algo, n, scenario, &cfg)
-                    .unwrap_or_else(|e| panic!("{algo} failed at n={n}: {e}"));
-                if algo.proven_asymmetric_guarantee() {
-                    assert_eq!(s.failures, 0, "{algo} missed its horizon at n={n}");
-                }
-                if s.failures > 0 {
-                    // Horizon misses lower-bound the worst case.
-                    worst = worst.max(s.horizon);
-                }
-                failures += s.failures;
-                worst = worst.max(s.summary.max);
-            }
-            if failures == 0 {
-                points.push((n, worst));
-            }
-            if failures > 0 {
-                print!("{:>10}", format!("≥{worst}"));
-            } else {
-                print!("{:>10}", worst);
-            }
-        }
-        let e = growth_exponent(&points).unwrap_or(f64::NAN);
-        println!("{:>9.2}  {}", e, paper);
-    }
-    println!();
-    println!("reproduction check: exponent ordering ours < DRDS/CRSEQ < JS; ours ≈ flat in n.");
-    println!("(≥ marks cells where a reconstruction missed its horizon for some geometry+shift;");
-    println!(" the true worst case is at least the shown value — see rdv-baselines docs.)");
-}
-
-/// E2 — Table 1, symmetric column: A = B.
-fn table1_sym(ctx: &Ctx) {
-    header("E2: Table 1 (symmetric) — max TTR over wake-up shifts, A = B, |A|=4");
-    let ns: &[u64] = if ctx.quick() {
-        &[8, 16, 32]
-    } else {
-        &[8, 16, 32, 64, 128]
-    };
-    let cfg = SweepConfig {
-        shifts: if ctx.quick() { 64 } else { 1024 },
-        shift_stride: 13,
-        spread_over_period: true,
-        seeds: 6,
-        horizon_override: 0,
-        threads: 0,
-    };
-    let algos = [
-        Algorithm::Crseq,
-        Algorithm::JumpStay,
-        Algorithm::Drds,
-        Algorithm::Ours,
-        Algorithm::OursSymmetric,
-    ];
-    let paper_exp = [
-        "2 (n^2)",
-        "1 (n)",
-        "n/a (reconstr.)",
-        "kl loglog n",
-        "0 (O(1))",
-    ];
-    print!("{:<16}", "algorithm");
-    for n in ns {
-        print!("{:>10}", format!("n={n}"));
-    }
-    println!("{:>9}{:>14}", "exp(n)", "paper");
-    let geometries = if ctx.quick() { 3 } else { 8 };
-    for (algo, paper) in algos.iter().zip(paper_exp) {
-        let mut points = Vec::new();
-        print!("{:<16}", algo.to_string());
-        for &n in ns {
-            let mut worst = 0u64;
-            let mut failures = 0usize;
-            for seed in 0..geometries {
-                let scenario = workload::symmetric_pair(n, 4, seed).expect("fits");
-                let s = sweep_pair_ttr(*algo, n, &scenario, &cfg)
-                    .unwrap_or_else(|e| panic!("{algo} failed at n={n}: {e}"));
-                if algo.proven_asymmetric_guarantee() {
-                    assert_eq!(s.failures, 0, "{algo} missed at n={n}");
-                }
-                if s.failures > 0 {
-                    worst = worst.max(s.horizon);
-                }
-                failures += s.failures;
-                worst = worst.max(s.summary.max);
-            }
-            if failures == 0 {
-                points.push((n, worst));
-            }
-            if failures > 0 {
-                print!("{:>10}", format!("≥{worst}"));
-            } else {
-                print!("{:>10}", worst);
-            }
-        }
-        let e = growth_exponent(&points).unwrap_or(f64::NAN);
-        println!("{:>9.2}  {}", e, paper);
-    }
-    println!();
-    println!("reproduction check: ours+sym row is flat (O(1), ≤ 12 slots) at every n.");
-}
-
-/// E3 — the headline O(|A||B| log log n) scaling.
-fn thm3_scaling(ctx: &Ctx) {
-    header("E3: Theorem 3 scaling — max TTR vs |A||B| (n=256) and vs n (|A|=|B|=4)");
-    let cfg = SweepConfig {
-        shifts: if ctx.quick() { 64 } else { 512 },
-        shift_stride: 19,
-        spread_over_period: true,
-        seeds: 1,
-        horizon_override: 0,
-        threads: 0,
-    };
-    println!(
-        "{:<8}{:>8}{:>10}{:>12}{:>12}",
-        "k=l", "k*l", "maxTTR", "TTR/(k*l)", "bound"
-    );
-    let ks: &[usize] = if ctx.quick() {
-        &[2, 3, 4, 6]
-    } else {
-        &[2, 3, 4, 6, 8, 12]
-    };
-    for &k in ks {
-        let n = 256u64;
-        let scenario = workload::adversarial_overlap_one(n, k, k).expect("fits");
-        let s = sweep_pair_ttr(Algorithm::Ours, n, &scenario, &cfg).expect("sweep");
-        assert_eq!(s.failures, 0);
-        let sched = GeneralSchedule::asynchronous(n, scenario.a.clone()).expect("valid");
-        println!(
-            "{:<8}{:>8}{:>10}{:>12.1}{:>12}",
-            k,
-            k * k,
-            s.summary.max,
-            s.summary.max as f64 / (k * k) as f64,
-            sched.ttr_bound(k)
-        );
-    }
-    println!();
-    println!("{:<10}{:>10}{:>12}", "n", "maxTTR", "pair period");
-    let ns: &[u64] = if ctx.quick() {
-        &[16, 64, 256]
-    } else {
-        &[16, 64, 256, 1024, 4096]
-    };
-    for &n in ns {
-        let scenario = workload::adversarial_overlap_one(n, 4, 4).expect("fits");
-        let s = sweep_pair_ttr(Algorithm::Ours, n, &scenario, &cfg).expect("sweep");
-        assert_eq!(s.failures, 0);
-        let fam = PairFamily::new(n).expect("n ≥ 2");
-        println!("{:<10}{:>10}{:>12}", n, s.summary.max, fam.period());
-    }
-    println!();
-    println!("reproduction check: TTR/(k*l) column ~constant; TTR vs n grows only via the pair period (log log n).");
-}
-
-/// E7 — Theorem 1: the pair-schedule period is doubly logarithmic in n.
-fn pair_loglog(ctx: &Ctx) {
-    header("E7: Theorem 1 — pair schedule period and worst TTR vs n (k=2)");
-    println!(
-        "{:<22}{:>10}{:>12}{:>12}",
-        "n", "period", "worst TTR", "log2 log2 n"
-    );
-    let ns: &[u64] = if ctx.quick() {
-        &[4, 256, 65536]
-    } else {
-        &[4, 16, 256, 65536, 1 << 32, 1 << 62]
-    };
-    for &n in ns {
-        let fam = PairFamily::new(n).expect("n ≥ 2");
-        // Worst asynchronous TTR between the 2-path pair {1,2} vs {2,3}
-        // over every relative shift — the configuration the Ramsey
-        // coloring exists for.
-        let sa = fam.schedule(1, 2).expect("pair");
-        let sb = fam.schedule(2, 3).expect("pair");
-        let worst = rdv_core::verify::worst_async_ttr_exhaustive(&sa, &sb, 4 * fam.period())
-            .expect("pairs rendezvous");
-        let loglog = (n.max(4) as f64).log2().log2();
-        println!(
-            "{:<22}{:>10}{:>12}{:>12.2}",
-            format!("2^{}", 64 - n.leading_zeros() - 1),
-            fam.period(),
-            worst.ttr,
-            loglog
-        );
-    }
-    println!();
-    println!("reproduction check: period grows ~4x while n grows 2^58x (log log n shape).");
-}
-
-/// E4–E6 — the paper's figures as ASCII.
-fn figures() {
-    header("E4: Figure 1 — walks and balanced strings");
-    let fig1a: Bits = "11010".parse().expect("literal");
-    let fig1b: Bits = "110001".parse().expect("literal");
-    println!(
-        "(a) the graph of 11010 ({}):",
-        rdv_strings::render::describe(&fig1a)
-    );
-    print!("{}", rdv_strings::render::render_walk(&fig1a));
-    println!();
-    println!(
-        "(b) the graph of 110001 ({}):",
-        rdv_strings::render::describe(&fig1b)
-    );
-    print!("{}", rdv_strings::render::render_walk(&fig1b));
-
-    header("E5: Figure 2 — a strictly Catalan codeword and a shift of it");
-    let code = RCode::new(3);
-    let word = code.encode(&Bits::encode_int(0b101, 3)).into_bits();
-    println!("R(101) ({}):", rdv_strings::render::describe(&word));
-    print!("{}", rdv_strings::render::render_walk(&word));
-    println!();
-    let shifted = word.cyclic_shift(5);
-    println!("S^5 R(101) ({}):", rdv_strings::render::describe(&shifted));
-    print!("{}", rdv_strings::render::render_walk(&shifted));
-
-    header("E6: Figure 3 — the 2-maximality transform");
-    let z: Bits = "110100".parse().expect("literal");
-    print!("{}", rdv_strings::render::render_maximality_transform(&z));
-}
-
-/// E8 — exact small-n optima: the Ω(log log n) companion.
-fn lb_exact(ctx: &Ctx) {
-    header("E8: Theorem 4 companion — exact R_s(n,2) and cyclic R_a(n,2) by exhaustive search");
-    let max_n_sync = if ctx.quick() { 8 } else { 10 };
-    let max_n_cyc = 3; // n = 4 already needs a cyclic period > 6 (beyond the 2^6 domain)
-    println!(
-        "{:<6}{:>12}{:>16}{:>22}",
-        "n", "R_s(n,2)", "cyclic R_a(n,2)", "Ramsey threshold m"
-    );
-    for n in 2..=max_n_sync {
-        let rs = match exact::exact_rs_n2(n, 5, 1 << 26) {
-            exact::SearchOutcome::Optimal(t) => t.to_string(),
-            other => format!("{other:?}"),
-        };
-        let ra = if n <= max_n_cyc {
-            match exact::exact_ra_n2_cyclic(n, 6, 1 << 26) {
-                exact::SearchOutcome::Optimal(t) => t.to_string(),
-                other => format!("{other:?}"),
-            }
-        } else {
-            "-".to_string()
-        };
-        // Smallest palette size m with e·m! ≥ n (i.e. T = log2 m forced).
-        let m = (1..=12u32)
-            .find(|&m| rdv_ramsey::triangle::ramsey_triangle_threshold(m) >= n)
-            .unwrap_or(12);
-        println!("{:<6}{:>12}{:>16}{:>22}", n, rs, ra, m);
-    }
-    println!();
-    println!("reproduction check: R_s grows with n (Theorem 4's Ω(log log n)); cyclic ≥ sync.");
-}
-
-/// E9 — Theorem 6 pigeonhole certificates.
-fn lb_sync(ctx: &Ctx) {
-    header("E9: Theorem 6 — pigeonhole certificates (R_s ≥ αk for concrete families)");
-    let n = if ctx.quick() { 16 } else { 64 };
-    println!(
-        "{:<26}{:>4}{:>4}{:>18}",
-        "family", "k", "α", "certified bound"
-    );
-    let round_robin = |set: &ChannelSet| {
-        rdv_core::schedule::CyclicSchedule::new(set.iter().collect()).expect("non-empty")
-    };
-    for (k, alpha) in [(2usize, 2usize), (3, 2), (4, 2)] {
-        match pigeonhole::certify(&round_robin, n, k, alpha) {
-            Some(w) => println!(
-                "{:<26}{:>4}{:>4}{:>18}",
-                "round-robin", k, alpha, w.certified_bound
-            ),
-            None => println!(
-                "{:<26}{:>4}{:>4}{:>18}",
-                "round-robin", k, alpha, "no witness"
-            ),
-        }
-    }
-    let ours = |set: &ChannelSet| {
-        rdv_core::general::GeneralSchedule::synchronous(n, set.clone()).expect("valid")
-    };
-    for (k, alpha) in [(2usize, 2usize), (3, 2)] {
-        match pigeonhole::certify(&ours, n, k, alpha) {
-            Some(w) => println!(
-                "{:<26}{:>4}{:>4}{:>18}",
-                "ours (sync, Thm 3)", k, alpha, w.certified_bound
-            ),
-            None => println!(
-                "{:<26}{:>4}{:>4}{:>18}",
-                "ours (sync, Thm 3)", k, alpha, "no witness"
-            ),
-        }
-    }
-    println!();
-    println!("reproduction check: witnesses certify R_s ≥ αk, matching Theorem 6's pigeonhole.");
-}
-
-/// E10 — Theorem 7 density witnesses.
-fn lb_async(ctx: &Ctx) {
-    header("E10: Theorem 7 — Ω(kl) density witnesses against Theorem 3 schedules");
-    let n = 24u64;
-    println!(
-        "{:<6}{:<6}{:>8}{:>10}{:>12}{:>14}",
-        "k", "l", "k*l", "worstTTR", "TTR/(k*l)", "Thm3 bound"
-    );
-    let family = move |set: &ChannelSet| {
-        rdv_core::general::GeneralSchedule::asynchronous(n, set.clone()).expect("valid")
-    };
-    let grid: &[(usize, usize)] = if ctx.quick() {
-        &[(2, 2), (3, 3)]
-    } else {
-        &[(2, 2), (2, 4), (3, 3), (4, 4), (4, 6), (6, 6)]
-    };
-    for &(k, l) in grid {
-        let w =
-            density::worst_overlap_one_pair(&family, n, k, l, 1 << 22, 5, 128).expect("witness");
-        let bound = family(&w.a).ttr_bound(l);
-        println!(
-            "{:<6}{:<6}{:>8}{:>10}{:>12.2}{:>14}",
-            k,
-            l,
-            k * l,
-            w.ttr,
-            w.barrier_ratio,
-            bound
-        );
-    }
-    println!();
-    println!("reproduction check: worst TTR ≥ Ω(k·l) (ratio column bounded below), and ≤ the O(kl loglog n) bound.");
-}
-
-/// E11/E12 — the beacon protocols.
-fn beacon(ctx: &Ctx) {
-    header("E11/E12: one-bit beacon — protocol A O(logn·(k+l)) vs protocol B O(k+l+logn)");
-    let cfg = SweepConfig {
-        shifts: 4,
-        shift_stride: 9,
-        spread_over_period: true,
-        seeds: if ctx.quick() { 12 } else { 32 },
-        horizon_override: 0,
-        threads: 0,
-    };
-    println!("-- vs n (k = l = 4) --");
-    println!(
-        "{:<8}{:>12}{:>12}{:>12}{:>12}",
-        "n", "A p50", "A p95", "B p50", "B p95"
-    );
-    let ns: &[u64] = if ctx.quick() {
-        &[16, 64]
-    } else {
-        &[16, 64, 256, 1024]
-    };
-    for &n in ns {
-        let scenario = workload::adversarial_overlap_one(n, 4, 4).expect("fits");
-        let a = sweep_pair_ttr(Algorithm::BeaconA, n, &scenario, &cfg).expect("sweep A");
-        let b = sweep_pair_ttr(Algorithm::BeaconB, n, &scenario, &cfg).expect("sweep B");
-        println!(
-            "{:<8}{:>12}{:>12}{:>12}{:>12}",
-            n, a.summary.p50, a.summary.p95, b.summary.p50, b.summary.p95
-        );
-    }
-    println!();
-    println!("-- vs k (n = 256, l = k) --");
-    println!("{:<8}{:>12}{:>12}", "k", "A p50", "B p50");
-    let ks: &[usize] = if ctx.quick() { &[2, 8] } else { &[2, 4, 8, 16] };
-    for &k in ks {
-        let scenario = workload::adversarial_overlap_one(256, k, k).expect("fits");
-        let a = sweep_pair_ttr(Algorithm::BeaconA, 256, &scenario, &cfg).expect("sweep A");
-        let b = sweep_pair_ttr(Algorithm::BeaconB, 256, &scenario, &cfg).expect("sweep B");
-        println!("{:<8}{:>12}{:>12}", k, a.summary.p50, b.summary.p50);
-    }
-    println!();
-    println!("reproduction check: both grow mildly with k; B's dependence on n is additive, A's multiplicative.");
 }

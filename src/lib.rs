@@ -45,6 +45,7 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
+pub mod cli;
 pub mod history;
 pub mod pipelines;
 pub mod report;

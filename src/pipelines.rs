@@ -183,12 +183,16 @@ pub fn table1_cells(tier: Tier, threads: usize) -> Vec<SweepCell> {
     cells
 }
 
-/// E0 — the Table 1 reproduction pipeline: all eight algorithms ×
+/// The Table 1 reproduction pipeline: all eight algorithms ×
 /// sync/async × symmetric/asymmetric across a universe-size ladder, every
 /// cell swept on the work-stealing orchestrator and its measured worst
-/// case checked against the Theorem 3 / §3.2 bounds.
+/// case checked against the Theorem 3 / §3.2 bounds; plus Theorem 1's
+/// pair-schedule period against n.
 pub mod table1 {
     use super::*;
+    use rdv_core::pair::PairFamily;
+    use rdv_core::verify;
+    use rdv_sim::stats::growth_exponent;
 
     /// Artifact file stem: the `repro` driver writes `REPRO_table1.{json,md}`
     /// and the history ledger records runs under it.
@@ -235,6 +239,57 @@ pub mod table1 {
         checkpoint::Fingerprint::new(STEM, tier, "")
     }
 
+    /// Theorem 1: the pair-schedule period is `O(log log n)`. For each n,
+    /// the worst asynchronous TTR between the pairs `{1,2}` and `{2,3}`
+    /// (the 2-path the Ramsey coloring exists for) over every relative
+    /// shift, gated against the family's one-period bound. Recomputed on
+    /// every run, never journaled. Adds the `pair_period` section and
+    /// returns its markdown table rows.
+    fn pair_period_section(artifact: &mut Artifact) -> String {
+        let ns: &[u64] = match artifact.tier() {
+            Tier::Smoke | Tier::Quick => &[4, 1 << 8, 1 << 16],
+            Tier::Full => &[4, 1 << 4, 1 << 8, 1 << 16, 1 << 32, 1 << 62],
+        };
+        let (mut rows, mut md_rows) = (Vec::new(), String::new());
+        println!();
+        println!(
+            "{:<22}{:>10}{:>12}{:>10}",
+            "pair period n", "period", "worst TTR", "bound"
+        );
+        for &n in ns {
+            let fam = PairFamily::new(n).expect("n ≥ 2");
+            let (period, bound) = (fam.period(), fam.ttr_bound());
+            let sa = fam.schedule(1, 2).expect("1 < 2 ≤ n");
+            let sb = fam.schedule(2, 3).expect("2 < 3 ≤ n");
+            let horizon = 4 * period;
+            // A shift that misses the horizon puts the worst case past it.
+            let measured =
+                verify::worst_async_ttr_exhaustive(&sa, &sb, horizon).map_or(horizon, |w| w.ttr);
+            let ok = measured <= bound;
+            if !ok {
+                artifact.violation(format!(
+                    "pair period n={n}: worst async TTR {measured} exceeds the Theorem 1 \
+                     bound {bound} (one period)"
+                ));
+            }
+            println!("{n:<22}{period:>10}{measured:>12}{bound:>10}");
+            md_rows.push_str(&format!(
+                "| {n} | {period} | {measured} | {bound} | {} |\n",
+                if ok { "✓" } else { "✗" }
+            ));
+            rows.push(Value::object([
+                ("id", Value::from(format!("pair_period/n={n}"))),
+                ("n", Value::from(n)),
+                ("period", Value::from(period)),
+                ("measured", Value::from(measured)),
+                ("bound", Value::from(bound)),
+                ("bound_ok", Value::from(ok)),
+            ]));
+        }
+        artifact.section("pair_period", Value::Array(rows));
+        md_rows
+    }
+
     /// Runs the pipeline at `tier` on `threads` workers (0 = auto) and
     /// returns the artifact pair; the caller writes and gates it.
     pub fn run(tier: Tier, threads: usize) -> PipelineOutput {
@@ -247,7 +302,7 @@ pub mod table1 {
     /// artifact is byte-identical to an uninterrupted run either way.
     pub fn run_with(tier: Tier, threads: usize, ckpt: Option<&Journal>) -> PipelineOutput {
         header(&format!(
-            "E0: reproduction pipeline — 8 algorithms × sync/async × asym/sym (tier: {})",
+            "Table 1 pipeline — 8 algorithms × sync/async × asym/sym (tier: {})",
             tier.name()
         ));
         let (ns, shifts, seeds) = grid_dimensions(tier);
@@ -287,6 +342,9 @@ pub mod table1 {
         for algo in PIPELINE_ALGOS {
             for kind in ["asymmetric", "symmetric"] {
                 let mut points = Vec::new();
+                // (n, measured) of the async cells that missed no horizon:
+                // the fit behind the curve's growth exponent.
+                let mut fit = Vec::new();
                 for &n in ns {
                     let scenario = grid_scenario(kind, n, k);
                     let (bound, bound_kind, gated) = cell_bound(algo, n, &scenario);
@@ -348,6 +406,9 @@ pub mod table1 {
                             if ok { "✓" } else { "✗" },
                         ));
                         if timing == "async" {
+                            if failures == 0 {
+                                fit.push((n, measured));
+                            }
                             points.push(Value::object([
                                 ("n", Value::from(n)),
                                 ("measured_max", Value::from(measured)),
@@ -362,6 +423,13 @@ pub mod table1 {
                     ("scenario", Value::from(kind)),
                     ("timing", Value::from("async")),
                     ("points", Value::Array(points)),
+                    // Rounded so a last-bit difference between platform
+                    // `ln` implementations cannot change the artifact bytes.
+                    (
+                        "growth_exponent",
+                        growth_exponent(&fit)
+                            .map_or(Value::Null, |e| Value::from((e * 1e4).round() / 1e4)),
+                    ),
                 ]));
             }
         }
@@ -381,11 +449,17 @@ pub mod table1 {
         );
         artifact.section("rows", Value::Array(rows));
         artifact.section("curves", Value::Array(curves));
+        let md_pairs = pair_period_section(&mut artifact);
 
         let md = format!(
             "{}| algorithm | timing | scenario | n | max TTR | bound | max/bound | samples | misses | ok |\n\
              |---|---|---|---|---|---|---|---|---|---|\n\
              {md_rows}\n\
+             Theorem 1: the pair-schedule period grows as `O(log log n)`. Worst async\n\
+             TTR of the pairs {{1,2}} and {{2,3}} over every shift, gated against one period.\n\n\
+             | n | period | worst TTR | bound | ok |\n\
+             |---|---|---|---|---|\n\
+             {md_pairs}\n\
              {}\n",
             artifact.preamble_markdown(
                 "Paper reproduction — Table 1 comparison",

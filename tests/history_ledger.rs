@@ -575,6 +575,47 @@ fn bench_speedup_gates_skip_loudly_on_single_core_hosts() {
 }
 
 #[test]
+fn repro_argument_errors_exit_2() {
+    // Each line used to run (or silently drop the bad part) with exit 0;
+    // none of them gets far enough to write an artifact.
+    for (args, names) in [
+        (&["--smok", "sdp"][..], "--smok"),
+        (&["--smoke", "--out-dir", "--smoke", "sdp"], "--out-dir"),
+        (&["--smoke", "lower", "--faults", "light"], "--faults"),
+        (&["--smoke", "table1", "--sabotage"], "--sabotage"),
+        (&["--smoke", "--quick", "sdp"], "--quick"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("run repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(names), "{args:?} names {names}: {stderr}");
+    }
+    // The console experiments are gone: `all` runs the artifact pipelines.
+    for name in [
+        "table1-asym",
+        "table1-sym",
+        "thm3-scaling",
+        "pair-loglog",
+        "figures",
+        "lb-exact",
+        "lb-sync",
+        "lb-async",
+        "beacon",
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["--smoke", name])
+            .output()
+            .expect("run repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
+        assert!(stderr.contains("unknown experiment"), "{name}: {stderr}");
+    }
+}
+
+#[test]
 fn bench_report_argument_errors_exit_2() {
     // A stale invocation fails loudly instead of silently gating nothing.
     for args in [

@@ -1,8 +1,8 @@
 //! Golden-artifact determinism of the reproduction pipelines, as a
 //! `cargo test` twin of CI's byte-for-byte artifact diff: each pipeline
 //! runs three times in-process — on 1, 2, and 8 worker threads — and
-//! must serialize to identical JSON; the 1-thread run must additionally
-//! match the committed artifact exactly.
+//! must serialize to identical JSON and markdown; the 1-thread run must
+//! additionally match both committed artifacts exactly.
 
 use blind_rendezvous::pipelines;
 use blind_rendezvous::report::Tier;
@@ -43,6 +43,11 @@ fn lower_pipeline_is_thread_count_invariant_and_matches_committed() {
         committed("REPRO_lower.json"),
         "regenerate with: cargo run --release --bin repro -- --smoke lower"
     );
+    assert_eq!(
+        single.markdown,
+        committed("REPRO_lower.md"),
+        "regenerate with: cargo run --release --bin repro -- --smoke lower"
+    );
 }
 
 #[test]
@@ -70,6 +75,11 @@ fn sdp_pipeline_is_thread_count_invariant_and_matches_committed() {
     assert_eq!(
         pretty(&single),
         committed("REPRO_sdp.json"),
+        "regenerate with: cargo run --release --bin repro -- --smoke sdp"
+    );
+    assert_eq!(
+        single.markdown,
+        committed("REPRO_sdp.md"),
         "regenerate with: cargo run --release --bin repro -- --smoke sdp"
     );
 }
@@ -104,6 +114,11 @@ fn table1_pipeline_is_thread_count_invariant_and_matches_committed() {
     assert_eq!(
         pretty(&single),
         committed("REPRO_table1.json"),
+        "regenerate with: cargo run --release --bin repro -- --smoke table1"
+    );
+    assert_eq!(
+        single.markdown,
+        committed("REPRO_table1.md"),
         "regenerate with: cargo run --release --bin repro -- --smoke table1"
     );
 }
