@@ -1,8 +1,8 @@
 //! Whole-grid nested-sweep orchestration: a scenario grid swept as the
 //! former sequential outer loop (one per-cell pool submission per cell)
 //! vs as **one task-tree submission** (`rdv_sim::sweep_pair_grid`), at
-//! 1, 2, and 8 worker threads, plus the raw `pool::run_tree` scheduling
-//! overhead on no-op tasks.
+//! 1, 2, and 8 worker threads, plus the raw `pool::run_tree_barrier`
+//! scheduling overhead on no-op tasks.
 //!
 //! On a single-core runner the tree's only win is amortizing per-cell
 //! pool spawns; with real cores it additionally overlaps cells, so a slow
@@ -86,7 +86,7 @@ fn bench_tree_overhead(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_millis(1500));
     group.sample_size(10);
     // 64 parents × 8 no-op children: pure scheduling cost of the tree —
-    // expansion, child injection, pending-count upkeep, path-ordered
+    // expansion, child injection, the expansion barrier, path-ordered
     // merge.
     for threads in [1usize, 8] {
         let parallel = ParallelConfig::with_threads(threads);
@@ -95,11 +95,13 @@ fn bench_tree_overhead(c: &mut Criterion) {
             &parallel,
             |b, parallel| {
                 b.iter(|| {
-                    black_box(pool::run_tree(
+                    black_box(pool::run_tree_barrier(
                         (0..64u64).collect::<Vec<_>>(),
                         parallel,
                         |_, p| (p, vec![p; 8]),
-                        |path: TreePath, c: u64| c ^ path.stream_seed(7),
+                        |path: TreePath, c: u64, _outputs: pool::ParentOutputs<'_, u64>| {
+                            c ^ path.child as u64
+                        },
                     ))
                 })
             },

@@ -12,15 +12,15 @@
 //!   plane-eligible universes) and resolves all pending pairs over the
 //!   shared arena, with a density-adaptive bucket-scan resolution mode
 //!   for dense populations.
-//! * [`pool`] — the work-stealing parallel orchestrator: deterministic
-//!   task-indexed sharding over the vendored crossbeam deques, the
-//!   general task-tree API (`run_tree`) nested sweeps submit whole grids
-//!   through, and its barrier variant (`run_tree_barrier`) behind the
-//!   arena engine's fill/resolve split, with bit-identical results at
-//!   every thread count.
+//! * [`pool`] — the work-stealing parallel orchestrator: one scheduler
+//!   over the vendored crossbeam deques behind a flat task list
+//!   (`run_indexed`) and a barrier task tree (`run_tree_barrier`), which
+//!   both nested sweep grids and the arena engine's fill/resolve split
+//!   submit through, with bit-identical results at every thread count.
 //! * [`sweep`] — pairwise worst/mean time-to-rendezvous sweeps over shifts
-//!   and seeds, submitted to [`pool`] as task trees (cells are parents,
-//!   `(shift × seed)` chunks are children).
+//!   and seeds: one sweep plan per cell behind both the pair and the
+//!   lower-bound grids, submitted to [`pool`] as task trees (cells are
+//!   parents, `(shift × seed)` chunks are children).
 //! * [`stats`] — means, percentiles, and the log-log growth-exponent fits
 //!   used to check the paper's asymptotic claims empirically.
 

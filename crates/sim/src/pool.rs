@@ -10,19 +10,18 @@
 //! [`crossbeam::deque`] stand-in) and lets idle workers steal, so the
 //! longest task — not the longest *chunk* — bounds the critical path.
 //!
-//! Three entry points share that discipline:
+//! Two entry points run on one scheduler:
 //!
-//! * [`run_indexed`] — a flat task list, results in task order;
-//! * [`run_tree`] — a **task tree**: a forest of parent tasks, each
+//! * [`run_tree_barrier`] — a **task tree**: a forest of parent tasks, each
 //!   expanding *on a worker* into child tasks that are scheduled across
 //!   the same pool, so stealing crosses parent boundaries (a nested sweep
-//!   submits its whole grid at once instead of one pool per cell);
-//! * [`run_tree_barrier`] — the same tree with an **expansion barrier**:
-//!   every parent expands (and publishes its owned output) before any
-//!   child runs, and every child reads all parent outputs through
-//!   [`ParentOutputs`] — the producer/consumer bulk step of the
-//!   shared-arena engines, with owned published values instead of a
-//!   shared atomic arena.
+//!   submits its whole grid at once instead of one pool per cell). An
+//!   **expansion barrier** separates the levels: every parent expands (and
+//!   publishes its owned output) before any child runs, and every child
+//!   reads all parent outputs through [`ParentOutputs`] — the
+//!   producer/consumer bulk step of the shared-arena engines;
+//! * [`run_indexed`] — a flat task list, results in task order: a forest
+//!   of childless parents on the same scheduler.
 //!
 //! # Determinism
 //!
@@ -34,13 +33,14 @@
 //! * tasks never share mutable state — schedules are compiled once before
 //!   the fan-out and shared read-only (see
 //!   [`rdv_core::compiled::PreparedSchedule`]);
-//! * randomized tasks derive their RNG stream from [`stream_seed`] (flat
-//!   grids) or [`tree_seed`] (tree children), a SplitMix64 mix of the
-//!   experiment seed and the task's position — a pure function of *which*
-//!   task, never of *where* or *when* it ran.
+//! * randomized tasks derive their RNG stream from [`stream_seed`], a
+//!   SplitMix64 mix of the experiment seed and the task's position — a
+//!   pure function of *which* task, never of *where* or *when* it ran.
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::convert::Infallible;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Thread-count policy for the parallel orchestrator.
 ///
@@ -65,7 +65,8 @@ impl ParallelConfig {
     /// The requested worker count before any task-count clamp: an explicit
     /// `threads`, else the `RDV_THREADS` environment override, else
     /// [`std::thread::available_parallelism`]. This is what sizes a
-    /// [`run_tree`] pool, whose child-task count is unknown at submission.
+    /// many-parent [`run_tree_barrier`] pool, whose child-task count is
+    /// unknown at submission.
     pub fn requested_threads(&self) -> usize {
         if self.threads != 0 {
             return self.threads;
@@ -124,38 +125,15 @@ pub fn stream_seed(base: u64, task_index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Derives the RNG stream seed of the child at `(parent, child)` within a
-/// task-tree submission — one [`stream_seed`] application per tree level,
-/// so the seed is a pure function of the task's *path* and never of where
-/// or when the task ran.
-///
-/// For a fixed parent the child streams are collision-free (the inner
-/// [`stream_seed`] is bijective in the child index), and each parent's
-/// stream family starts from its own avalanche-mixed base; the path
-/// distinctness of every grid shape the workspace submits is pinned by
-/// `tests/task_tree.rs`.
-pub fn tree_seed(base: u64, parent: u64, child: u64) -> u64 {
-    stream_seed(stream_seed(base, parent), child)
-}
-
-/// The position of a child task within a [`run_tree`] submission: the
-/// parent's index in the submitted forest and the child's index within
-/// that parent's expansion — the pair the deterministic merge orders by,
-/// and the path [`Self::stream_seed`] derives RNG streams from.
+/// The position of a child task within a [`run_tree_barrier`] submission:
+/// the parent's index in the submitted forest and the child's index within
+/// that parent's expansion — the pair the deterministic merge orders by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TreePath {
     /// Index of the parent task in the submitted forest.
     pub parent: usize,
     /// Index of this child within its parent's expansion.
     pub child: usize,
-}
-
-impl TreePath {
-    /// The child's RNG stream seed under experiment seed `base` — see
-    /// [`tree_seed`].
-    pub fn stream_seed(&self, base: u64) -> u64 {
-        tree_seed(base, self.parent as u64, self.child as u64)
-    }
 }
 
 /// One round of the work-stealing discipline: the worker's own deque,
@@ -223,307 +201,6 @@ impl Drop for Arrival<'_> {
     }
 }
 
-/// Sets the shared poison flag if its holder unwinds, so sibling workers
-/// spinning on a tree's pending-task count exit instead of waiting forever
-/// for tasks the dead worker will never finish (the panic then propagates
-/// at scope join).
-struct PoisonOnPanic<'a>(&'a AtomicBool);
-
-impl Drop for PoisonOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.store(true, Ordering::Release);
-        }
-    }
-}
-
-/// Runs `f` over every `(index, task)` on a work-stealing thread pool and
-/// returns the results **in task order**, regardless of thread count or
-/// scheduling.
-///
-/// `f` must be a pure function of its arguments (plus shared read-only
-/// captures) for the cross-thread-count determinism guarantee to hold —
-/// which every sweep satisfies by deriving randomness via [`stream_seed`].
-///
-/// Single-task and single-thread calls run inline on the caller's thread
-/// (no spawn overhead), making `threads = 1` the literal sequential
-/// semantics the parallel runs are tested against.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics (the task panic propagates).
-pub fn run_indexed<T, R, F>(tasks: Vec<T>, cfg: &ParallelConfig, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let n_tasks = tasks.len();
-    let threads = cfg.effective_threads(n_tasks);
-    if threads <= 1 {
-        return tasks
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| f(i, t))
-            .collect();
-    }
-
-    let injector = Injector::new();
-    for task in tasks.into_iter().enumerate() {
-        injector.push(task);
-    }
-    let workers: Vec<Worker<(usize, T)>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-    let stealers: Vec<Stealer<(usize, T)>> = workers.iter().map(Worker::stealer).collect();
-
-    let mut indexed: Vec<(usize, R)> = crossbeam::scope(|scope| {
-        let injector = &injector;
-        let stealers = &stealers;
-        let f = &f;
-        let handles: Vec<_> = workers
-            .into_iter()
-            .enumerate()
-            .map(|(me, worker)| {
-                scope.spawn(move |_| {
-                    let mut out: Vec<(usize, R)> = Vec::with_capacity(n_tasks / threads + 1);
-                    while let Some((i, t)) = find_task(me, &worker, injector, stealers) {
-                        out.push((i, f(i, t)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
-    })
-    .expect("crossbeam scope");
-
-    debug_assert_eq!(indexed.len(), n_tasks, "orchestrator lost tasks");
-    indexed.sort_unstable_by_key(|&(i, _)| i);
-    indexed.into_iter().map(|(_, r)| r).collect()
-}
-
-/// The eager scheduler behind [`run_tree`]: one pool of `threads` workers
-/// draining a parent injector and a child injector with the [`find_task`]
-/// stealing discipline.
-///
-/// Children become stealable the moment their parent expands, so a slow
-/// parent never serializes its siblings' children. Termination is
-/// certified by a pending-task count (queues can be momentarily empty
-/// while a sibling is about to push freshly expanded children), with a
-/// poison flag releasing the spin if a worker dies mid-task.
-/// [`run_tree_barrier`] is the sibling scheduler that *does* interpose an
-/// expansion barrier between the levels.
-///
-/// With one thread this collapses to the literal sequential nested loops
-/// — the reference semantics `tests/task_tree.rs` property-tests the
-/// parallel runs against.
-fn run_tree_impl<P, PR, C, R, E, F>(
-    threads: usize,
-    parents: Vec<P>,
-    expand: &E,
-    child: &F,
-) -> Vec<(PR, Vec<R>)>
-where
-    P: Send,
-    PR: Send,
-    C: Send,
-    R: Send,
-    E: Fn(usize, P) -> (PR, Vec<C>) + Sync,
-    F: Fn(TreePath, C) -> R + Sync,
-{
-    let n_parents = parents.len();
-    if threads <= 1 {
-        return parents
-            .into_iter()
-            .enumerate()
-            .map(|(pi, p)| {
-                let (pr, kids) = expand(pi, p);
-                let rs = kids
-                    .into_iter()
-                    .enumerate()
-                    .map(|(ci, c)| {
-                        child(
-                            TreePath {
-                                parent: pi,
-                                child: ci,
-                            },
-                            c,
-                        )
-                    })
-                    .collect();
-                (pr, rs)
-            })
-            .collect();
-    }
-
-    let inj_p = Injector::new();
-    for task in parents.into_iter().enumerate() {
-        inj_p.push(task);
-    }
-    let inj_c: Injector<(TreePath, C)> = Injector::new();
-    let workers_p: Vec<Worker<(usize, P)>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-    let stealers_p: Vec<Stealer<(usize, P)>> = workers_p.iter().map(Worker::stealer).collect();
-    let workers_c: Vec<Worker<(TreePath, C)>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-    let stealers_c: Vec<Stealer<(TreePath, C)>> = workers_c.iter().map(Worker::stealer).collect();
-    let pending = AtomicUsize::new(n_parents);
-    let poisoned = AtomicBool::new(false);
-
-    type Rows<PR, R> = (Vec<(usize, PR)>, Vec<(TreePath, R)>);
-    let (mut parent_rows, mut child_rows): Rows<PR, R> = crossbeam::scope(|scope| {
-        let (inj_p, inj_c) = (&inj_p, &inj_c);
-        let (stealers_p, stealers_c) = (&stealers_p, &stealers_c);
-        let (pending, poisoned) = (&pending, &poisoned);
-        let handles: Vec<_> = workers_p
-            .into_iter()
-            .zip(workers_c)
-            .enumerate()
-            .map(|(me, (wp, wc))| {
-                scope.spawn(move |_| {
-                    let _poison = PoisonOnPanic(poisoned);
-                    let mut parent_out: Vec<(usize, PR)> = Vec::new();
-                    let mut child_out: Vec<(TreePath, R)> = Vec::new();
-                    let mut idle_rounds = 0u32;
-                    loop {
-                        if let Some((pi, p)) = find_task(me, &wp, inj_p, stealers_p) {
-                            let (pr, kids) = expand(pi, p);
-                            // Registering the children before
-                            // retiring their parent keeps the
-                            // pending count from touching zero
-                            // while work remains unscheduled.
-                            pending.fetch_add(kids.len(), Ordering::AcqRel);
-                            for (ci, c) in kids.into_iter().enumerate() {
-                                inj_c.push((
-                                    TreePath {
-                                        parent: pi,
-                                        child: ci,
-                                    },
-                                    c,
-                                ));
-                            }
-                            parent_out.push((pi, pr));
-                            pending.fetch_sub(1, Ordering::AcqRel);
-                            idle_rounds = 0;
-                            continue;
-                        }
-                        if let Some((path, c)) = find_task(me, &wc, inj_c, stealers_c) {
-                            child_out.push((path, child(path, c)));
-                            pending.fetch_sub(1, Ordering::AcqRel);
-                            idle_rounds = 0;
-                            continue;
-                        }
-                        if pending.load(Ordering::Acquire) == 0 || poisoned.load(Ordering::Acquire)
-                        {
-                            break;
-                        }
-                        // Idle back-off: spin-yield while a refill
-                        // is likely imminent, then nap so starved
-                        // workers (e.g. more workers than cores)
-                        // stop taxing the queues the busy ones are
-                        // pushing through.
-                        idle_rounds += 1;
-                        if idle_rounds < 64 {
-                            std::thread::yield_now();
-                        } else {
-                            std::thread::sleep(std::time::Duration::from_micros(20));
-                        }
-                    }
-                    (parent_out, child_out)
-                })
-            })
-            .collect();
-        let mut parent_rows: Vec<(usize, PR)> = Vec::with_capacity(n_parents);
-        let mut child_rows: Vec<(TreePath, R)> = Vec::new();
-        for h in handles {
-            let (ps, cs) = h.join().expect("tree worker panicked");
-            parent_rows.extend(ps);
-            child_rows.extend(cs);
-        }
-        (parent_rows, child_rows)
-    })
-    .expect("crossbeam scope");
-
-    debug_assert_eq!(
-        parent_rows.len(),
-        n_parents,
-        "tree orchestrator lost parents"
-    );
-    parent_rows.sort_unstable_by_key(|&(i, _)| i);
-    child_rows.sort_unstable_by_key(|&(path, _)| (path.parent, path.child));
-    let mut out: Vec<(PR, Vec<R>)> = parent_rows
-        .into_iter()
-        .map(|(_, pr)| (pr, Vec::new()))
-        .collect();
-    for (path, r) in child_rows {
-        out[path.parent].1.push(r);
-    }
-    out
-}
-
-/// Runs a **task tree** on one work-stealing pool: a forest of `parents`,
-/// each expanded by `expand` *on a worker* into an output value plus a
-/// list of child tasks, every child evaluated by `child` on the same set
-/// of workers — so work-stealing crosses parent boundaries, and a nested
-/// sweep can submit its entire (scenario × shift/seed) grid as one tree
-/// instead of paying one pool (and one serializing join) per cell.
-///
-/// Returns, for every parent in **submission order**, its expansion
-/// output and its children's results in **child order** — scheduling is
-/// never observable, so results are bit-identical at any thread count.
-/// `expand` and `child` must be pure functions of their arguments (plus
-/// shared read-only captures); randomized children derive their RNG
-/// stream from the `(parent, child)` path via [`TreePath::stream_seed`].
-///
-/// Children become stealable the moment their parent expands (no barrier
-/// between levels); [`run_tree_barrier`] is the variant that *does*
-/// interpose a barrier and hands every child the published parent
-/// outputs, for producer/consumer phases.
-///
-/// A single-parent forest degenerates to a flat run: the parent expands
-/// on the caller's thread and the children go through [`run_indexed`],
-/// which clamps the worker count to the now-known child count (and keeps
-/// tiny sweeps inline).
-///
-/// # Panics
-///
-/// Panics if a worker panics (the task panic propagates at scope join; a
-/// poison flag releases the sibling workers' termination spin rather than
-/// deadlocking them).
-pub fn run_tree<P, PR, C, R, E, F>(
-    parents: Vec<P>,
-    cfg: &ParallelConfig,
-    expand: E,
-    child: F,
-) -> Vec<(PR, Vec<R>)>
-where
-    P: Send,
-    PR: Send,
-    C: Send,
-    R: Send,
-    E: Fn(usize, P) -> (PR, Vec<C>) + Sync,
-    F: Fn(TreePath, C) -> R + Sync,
-{
-    if parents.is_empty() {
-        return Vec::new();
-    }
-    if parents.len() == 1 {
-        let mut parents = parents;
-        let (pr, kids) = expand(0, parents.pop().expect("one parent"));
-        let rs = run_indexed(kids, cfg, |ci, c| {
-            child(
-                TreePath {
-                    parent: 0,
-                    child: ci,
-                },
-                c,
-            )
-        });
-        return vec![(pr, rs)];
-    }
-    run_tree_impl(cfg.requested_threads(), parents, &expand, &child)
-}
-
 /// The parent outputs of a [`run_tree_barrier`] submission, as seen by a
 /// child task: a read-only window over every parent's expansion output,
 /// published by the barrier before any child runs.
@@ -536,7 +213,7 @@ where
 /// live as long as the submission (`'a`), so children can keep slices
 /// into any parent's output for their whole run.
 pub struct ParentOutputs<'a, PR> {
-    slots: &'a [std::sync::OnceLock<PR>],
+    slots: &'a [OnceLock<PR>],
 }
 
 impl<PR> Clone for ParentOutputs<'_, PR> {
@@ -573,25 +250,221 @@ impl<'a, PR> ParentOutputs<'a, PR> {
     }
 }
 
-/// [`run_tree`] with an **expansion barrier**: every parent expands — and
-/// its output value is published — before any child runs, and every child
-/// receives a [`ParentOutputs`] window over *all* parent outputs alongside
-/// its task.
+/// The one scheduler behind [`run_tree_barrier`] and [`run_indexed`]:
+/// `threads` workers, spawned once, first drain the parent queue
+/// (expanding each parent, queueing its children and publishing its
+/// output), meet at an atomic arrival barrier, then drain the child queue;
+/// results merge back in submission and path order.
 ///
-/// This is the producer/consumer bulk step of the shared-arena engines:
-/// fill parents return their block's channel rows as owned values, the
-/// barrier publishes them, resolve children read any row they need. Both
-/// waves work-steal on **one** set of worker threads spawned once — the
-/// barrier is an atomic arrival count, not a join — so a caller iterating
-/// fill/resolve steps per block pays one spawn per block, not two. The
-/// arrival count's release/acquire ordering (and the `OnceLock`
-/// publication) makes every expansion-side value visible to every child.
+/// The parents run on the caller's thread instead when the pool is one
+/// worker — the sequential reference: all expansions, then all children —
+/// or when there is at most one parent. A lone parent's children are then
+/// known before any worker exists, so the pool is clamped to their count
+/// (a one-cell sweep of four chunks spawns at most four workers, a
+/// childless one none).
+fn schedule<P, PR, C, R, E, F>(
+    threads: usize,
+    parents: Vec<P>,
+    expand: E,
+    child: F,
+) -> Vec<(PR, Vec<R>)>
+where
+    P: Send,
+    PR: Send + Sync,
+    C: Send,
+    R: Send,
+    E: Fn(usize, P) -> (PR, Vec<C>) + Sync,
+    F: Fn(TreePath, C, ParentOutputs<'_, PR>) -> R + Sync,
+{
+    let n_parents = parents.len();
+    let slots: Vec<OnceLock<PR>> = (0..n_parents).map(|_| OnceLock::new()).collect();
+    let publish = |pi: usize, pr: PR| {
+        if slots[pi].set(pr).is_err() {
+            unreachable!("parent {pi} expanded twice");
+        }
+    };
+    let mut threads = threads;
+    let mut queued = parents;
+    let mut expanded: Vec<Vec<C>> = Vec::new();
+    if threads <= 1 || n_parents <= 1 {
+        for (pi, p) in queued.drain(..).enumerate() {
+            let (pr, kids) = expand(pi, p);
+            publish(pi, pr);
+            expanded.push(kids);
+        }
+        threads = threads.min(expanded.iter().map(Vec::len).sum());
+    }
+    let outputs = ParentOutputs { slots: &slots };
+
+    let mut child_rows: Vec<(TreePath, R)> = if threads <= 1 {
+        let mut rows = Vec::new();
+        for (pi, kids) in expanded.into_iter().enumerate() {
+            for (ci, c) in kids.into_iter().enumerate() {
+                let path = TreePath {
+                    parent: pi,
+                    child: ci,
+                };
+                rows.push((path, child(path, c, outputs)));
+            }
+        }
+        rows
+    } else {
+        let inj_p = Injector::new();
+        for task in queued.into_iter().enumerate() {
+            inj_p.push(task);
+        }
+        let inj_c: Injector<(TreePath, C)> = Injector::new();
+        for (pi, kids) in expanded.into_iter().enumerate() {
+            for (ci, c) in kids.into_iter().enumerate() {
+                inj_c.push((
+                    TreePath {
+                        parent: pi,
+                        child: ci,
+                    },
+                    c,
+                ));
+            }
+        }
+        let workers_p: Vec<Worker<(usize, P)>> = (0..threads).map(|_| Worker::new_fifo()).collect();
+        let stealers_p: Vec<Stealer<(usize, P)>> = workers_p.iter().map(Worker::stealer).collect();
+        let workers_c: Vec<Worker<(TreePath, C)>> =
+            (0..threads).map(|_| Worker::new_fifo()).collect();
+        let stealers_c: Vec<Stealer<(TreePath, C)>> =
+            workers_c.iter().map(Worker::stealer).collect();
+        let arrivals = AtomicUsize::new(0);
+
+        crossbeam::scope(|scope| {
+            let (inj_p, inj_c) = (&inj_p, &inj_c);
+            let (stealers_p, stealers_c) = (&stealers_p, &stealers_c);
+            let arrivals = &arrivals;
+            let (expand, child, publish) = (&expand, &child, &publish);
+            let handles: Vec<_> = workers_p
+                .into_iter()
+                .zip(workers_c)
+                .enumerate()
+                .map(|(me, (wp, wc))| {
+                    scope.spawn(move |_| {
+                        let mut arrival = Arrival::new(arrivals);
+                        while let Some((pi, p)) = find_task(me, &wp, inj_p, stealers_p) {
+                            let (pr, kids) = expand(pi, p);
+                            for (ci, c) in kids.into_iter().enumerate() {
+                                inj_c.push((
+                                    TreePath {
+                                        parent: pi,
+                                        child: ci,
+                                    },
+                                    c,
+                                ));
+                            }
+                            publish(pi, pr);
+                        }
+                        // A worker arrives only once the parent queues
+                        // were observed drained and it holds no task, so
+                        // `arrivals == threads` certifies every expansion
+                        // has completed, pushed its children, and
+                        // published its output. Expansions are short (one
+                        // block of bulk work), so a yielding spin outlasts
+                        // nothing worth parking for.
+                        arrival.arrive();
+                        while arrivals.load(Ordering::Acquire) < threads {
+                            std::thread::yield_now();
+                        }
+                        let mut child_out: Vec<(TreePath, R)> = Vec::new();
+                        while let Some((path, c)) = find_task(me, &wc, inj_c, stealers_c) {
+                            child_out.push((path, child(path, c, outputs)));
+                        }
+                        child_out
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("pool worker panicked"))
+                .collect()
+        })
+        .expect("crossbeam scope")
+    };
+
+    child_rows.sort_unstable_by_key(|&(path, _)| (path.parent, path.child));
+    let mut out: Vec<(PR, Vec<R>)> = slots
+        .into_iter()
+        .map(|slot| {
+            let pr = slot
+                .into_inner()
+                .expect("every parent published through the barrier");
+            (pr, Vec::new())
+        })
+        .collect();
+    for (path, r) in child_rows {
+        out[path.parent].1.push(r);
+    }
+    out
+}
+
+/// Runs `f` over every `(index, task)` on a work-stealing thread pool and
+/// returns the results **in task order**, regardless of thread count or
+/// scheduling.
+///
+/// `f` must be a pure function of its arguments (plus shared read-only
+/// captures) for the cross-thread-count determinism guarantee to hold —
+/// which every sweep satisfies by deriving randomness via [`stream_seed`].
+///
+/// The tasks are childless parents of the [`run_tree_barrier`] scheduler,
+/// on at most one worker per task. Single-task and single-thread calls run
+/// inline on the caller's thread (no spawn overhead), making
+/// `threads = 1` the literal sequential semantics the parallel runs are
+/// tested against.
+///
+/// # Panics
+///
+/// Panics if a worker thread panics (the task panic propagates).
+pub fn run_indexed<T, R, F>(tasks: Vec<T>, cfg: &ParallelConfig, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send + Sync,
+    F: Fn(usize, T) -> R + Sync,
+{
+    let threads = cfg.effective_threads(tasks.len());
+    schedule(
+        threads,
+        tasks,
+        |i, t| (f(i, t), Vec::<Infallible>::new()),
+        |_, never: Infallible, _: ParentOutputs<'_, R>| never,
+    )
+    .into_iter()
+    .map(|(r, _)| r)
+    .collect()
+}
+
+/// Runs a **task tree** on one work-stealing pool: a forest of `parents`,
+/// each expanded by `expand` *on a worker* into an output value plus a
+/// list of child tasks, every child evaluated by `child` on the same set
+/// of workers — so work-stealing crosses parent boundaries, and a nested
+/// sweep can submit its entire (scenario × shift/seed) grid as one tree
+/// instead of paying one pool (and one serializing join) per cell.
+///
+/// An **expansion barrier** separates the levels: every parent expands —
+/// and its output value is published — before any child runs, and every
+/// child receives a [`ParentOutputs`] window over *all* parent outputs
+/// alongside its task. This is the producer/consumer bulk step of the
+/// shared-arena engines: fill parents return their block's channel rows
+/// as owned values, the barrier publishes them, resolve children read any
+/// row they need. Both waves work-steal on **one** set of worker threads
+/// spawned once — the barrier is an atomic arrival count, not a join — so
+/// a caller iterating fill/resolve steps per block pays one spawn per
+/// block, not two. The arrival count's release/acquire ordering (and the
+/// `OnceLock` publication) makes every expansion-side value visible to
+/// every child. Children that need no parent output ignore the window.
 ///
 /// Returns, for every parent in **submission order**, its expansion
-/// output and its children's results in **child order**, exactly like
-/// [`run_tree`]; with one effective thread the two waves run inline
-/// sequentially (all expansions, then all children), which is the
-/// reference semantics the parallel runs are tested against.
+/// output and its children's results in **child order** — scheduling is
+/// never observable, so results are bit-identical at any thread count.
+/// `expand` and `child` must be pure functions of their arguments (plus
+/// shared read-only captures). With one effective thread the two waves
+/// run inline sequentially (all expansions, then all children), which is
+/// the reference semantics the parallel runs are tested against. A
+/// single-parent forest expands on the caller's thread and runs its
+/// children on at most one worker per child.
 ///
 /// # Panics
 ///
@@ -612,122 +485,7 @@ where
     E: Fn(usize, P) -> (PR, Vec<C>) + Sync,
     F: Fn(TreePath, C, ParentOutputs<'_, PR>) -> R + Sync,
 {
-    use std::sync::OnceLock;
-
-    let n_parents = parents.len();
-    if n_parents == 0 {
-        return Vec::new();
-    }
-    let slots: Vec<OnceLock<PR>> = (0..n_parents).map(|_| OnceLock::new()).collect();
-    let threads = cfg.requested_threads();
-
-    let mut child_rows: Vec<(TreePath, R)> = if threads <= 1 {
-        // The sequential reference: expand *all* parents first (the
-        // barrier semantics — children may read any parent's output),
-        // then run all children.
-        let mut kid_lists: Vec<Vec<C>> = Vec::with_capacity(n_parents);
-        for (pi, p) in parents.into_iter().enumerate() {
-            let (pr, kids) = expand(pi, p);
-            if slots[pi].set(pr).is_err() {
-                unreachable!("parent {pi} expanded twice");
-            }
-            kid_lists.push(kids);
-        }
-        let outputs = ParentOutputs { slots: &slots };
-        let mut rows = Vec::new();
-        for (pi, kids) in kid_lists.into_iter().enumerate() {
-            for (ci, c) in kids.into_iter().enumerate() {
-                let path = TreePath {
-                    parent: pi,
-                    child: ci,
-                };
-                rows.push((path, child(path, c, outputs)));
-            }
-        }
-        rows
-    } else {
-        let inj_p = Injector::new();
-        for task in parents.into_iter().enumerate() {
-            inj_p.push(task);
-        }
-        let inj_c: Injector<(TreePath, C)> = Injector::new();
-        let workers_p: Vec<Worker<(usize, P)>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-        let stealers_p: Vec<Stealer<(usize, P)>> = workers_p.iter().map(Worker::stealer).collect();
-        let workers_c: Vec<Worker<(TreePath, C)>> =
-            (0..threads).map(|_| Worker::new_fifo()).collect();
-        let stealers_c: Vec<Stealer<(TreePath, C)>> =
-            workers_c.iter().map(Worker::stealer).collect();
-        let arrivals = AtomicUsize::new(0);
-
-        crossbeam::scope(|scope| {
-            let (inj_p, inj_c) = (&inj_p, &inj_c);
-            let (stealers_p, stealers_c) = (&stealers_p, &stealers_c);
-            let (arrivals, slots) = (&arrivals, &slots[..]);
-            let (expand, child) = (&expand, &child);
-            let handles: Vec<_> = workers_p
-                .into_iter()
-                .zip(workers_c)
-                .enumerate()
-                .map(|(me, (wp, wc))| {
-                    scope.spawn(move |_| {
-                        let mut arrival = Arrival::new(arrivals);
-                        while let Some((pi, p)) = find_task(me, &wp, inj_p, stealers_p) {
-                            let (pr, kids) = expand(pi, p);
-                            for (ci, c) in kids.into_iter().enumerate() {
-                                inj_c.push((
-                                    TreePath {
-                                        parent: pi,
-                                        child: ci,
-                                    },
-                                    c,
-                                ));
-                            }
-                            if slots[pi].set(pr).is_err() {
-                                unreachable!("parent {pi} expanded twice");
-                            }
-                        }
-                        // A worker arrives only once the parent queues
-                        // were observed drained and it holds no task, so
-                        // `arrivals == threads` certifies every expansion
-                        // has completed, pushed its children, and
-                        // published its output. Expansions are short (one
-                        // block of bulk work), so a yielding spin outlasts
-                        // nothing worth parking for.
-                        arrival.arrive();
-                        while arrivals.load(Ordering::Acquire) < threads {
-                            std::thread::yield_now();
-                        }
-                        let outputs = ParentOutputs { slots };
-                        let mut child_out: Vec<(TreePath, R)> = Vec::new();
-                        while let Some((path, c)) = find_task(me, &wc, inj_c, stealers_c) {
-                            child_out.push((path, child(path, c, outputs)));
-                        }
-                        child_out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("barrier tree worker panicked"))
-                .collect()
-        })
-        .expect("crossbeam scope")
-    };
-
-    child_rows.sort_unstable_by_key(|&(path, _)| (path.parent, path.child));
-    let mut out: Vec<(PR, Vec<R>)> = slots
-        .into_iter()
-        .map(|slot| {
-            let pr = slot
-                .into_inner()
-                .expect("every parent published through the barrier");
-            (pr, Vec::new())
-        })
-        .collect();
-    for (path, r) in child_rows {
-        out[path.parent].1.push(r);
-    }
-    out
+    schedule(cfg.requested_threads(), parents, expand, child)
 }
 
 // ---------------------------------------------------------------------
@@ -768,10 +526,10 @@ impl std::error::Error for TaskPanic {}
 
 /// Runs `f`, converting a panic into a typed [`TaskPanic`] instead of
 /// unwinding. This is the quarantine primitive: wrapping every task
-/// closure of a [`run_indexed`]/[`run_tree`] submission in it means no
-/// task ever panics *as seen by the pool*, so the pending-count and
-/// barrier machinery complete normally and the poisoned cell surfaces as
-/// an `Err` in its result slot rather than killing its grid neighbors.
+/// closure of a [`run_indexed`]/[`run_tree_barrier`] submission in it
+/// means no task ever panics *as seen by the pool*, so the barrier
+/// machinery completes normally and the poisoned cell surfaces as an
+/// `Err` in its result slot rather than killing its grid neighbors.
 pub fn quarantine<R>(f: impl FnOnce() -> R) -> Result<R, TaskPanic> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
         let message = if let Some(s) = payload.downcast_ref::<&'static str>() {
@@ -806,7 +564,7 @@ pub fn run_indexed_quarantined_sink<T, R, F, S>(
 ) -> Vec<Result<R, TaskPanic>>
 where
     T: Send,
-    R: Send,
+    R: Send + Sync,
     F: Fn(usize, T) -> R + Sync,
     S: Fn(usize, &Result<R, TaskPanic>) + Sync,
 {
@@ -949,57 +707,6 @@ mod tests {
     }
 
     #[test]
-    fn run_tree_merges_in_path_order() {
-        for threads in [1usize, 2, 8] {
-            let out: Vec<(u64, Vec<u64>)> = run_tree(
-                (0..23u64).collect(),
-                &ParallelConfig::with_threads(threads),
-                |pi, p| {
-                    assert_eq!(pi as u64, p);
-                    (p * 100, (0..p % 5).collect())
-                },
-                |path, c| path.parent as u64 * 1000 + c,
-            );
-            assert_eq!(out.len(), 23);
-            for (pi, (pr, rs)) in out.iter().enumerate() {
-                assert_eq!(*pr, pi as u64 * 100, "threads = {threads}");
-                let expected: Vec<u64> =
-                    (0..(pi as u64) % 5).map(|c| pi as u64 * 1000 + c).collect();
-                assert_eq!(rs, &expected, "threads = {threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn run_tree_empty_and_single_parent() {
-        let none: Vec<((), Vec<u64>)> = run_tree(
-            Vec::<u64>::new(),
-            &ParallelConfig::default(),
-            |_, _| ((), vec![]),
-            |_, c: u64| c,
-        );
-        assert!(none.is_empty());
-        // One parent takes the degenerate run_indexed path.
-        let one = run_tree(
-            vec![5u64],
-            &ParallelConfig::with_threads(8),
-            |_, p| (p, (0..p).collect::<Vec<u64>>()),
-            |path, c| c + path.child as u64,
-        );
-        assert_eq!(one, vec![(5, vec![0, 2, 4, 6, 8])]);
-    }
-
-    #[test]
-    fn tree_seed_matches_chained_stream_seed() {
-        assert_eq!(tree_seed(7, 3, 11), stream_seed(stream_seed(7, 3), 11));
-        let path = TreePath {
-            parent: 3,
-            child: 11,
-        };
-        assert_eq!(path.stream_seed(7), tree_seed(7, 3, 11));
-    }
-
-    #[test]
     fn barrier_publishes_every_fill_before_any_resolve() {
         // Fill parents 0..97 each publish i+1 as their owned output; a
         // final fan-out parent carries 33 resolve children that each sum
@@ -1073,7 +780,7 @@ mod tests {
     }
 
     #[test]
-    fn barrier_empty_and_childless_submissions() {
+    fn barrier_empty_single_parent_and_childless_submissions() {
         let none: Vec<(u64, Vec<u64>)> = run_tree_barrier(
             Vec::<u64>::new(),
             &ParallelConfig::with_threads(4),
@@ -1089,6 +796,18 @@ mod tests {
             |_, c: u64, _outputs| c,
         );
         assert_eq!(childless, vec![(10, vec![]), (20, vec![]), (30, vec![])]);
+        // One parent expands on the caller's thread; its children still
+        // come back in child order with the parent's output visible.
+        let one = run_tree_barrier(
+            vec![5u64],
+            &ParallelConfig::with_threads(8),
+            |_, p| (p, (0..p).collect::<Vec<u64>>()),
+            |path, c, outputs: ParentOutputs<'_, u64>| {
+                assert_eq!(*outputs.get(0), 5);
+                c + path.child as u64
+            },
+        );
+        assert_eq!(one, vec![(5, vec![0, 2, 4, 6, 8])]);
     }
 
     #[test]

@@ -1,19 +1,24 @@
 //! Pairwise time-to-rendezvous sweeps — the engine behind the Table 1 and
-//! scaling experiments.
+//! lower-bound experiments.
 //!
 //! Sweeps are **task-tree submissions** onto the work-stealing
-//! orchestrator ([`crate::pool::run_tree`]): each `(algorithm, scenario)`
-//! cell is a parent task whose expansion validates the cell and builds and
-//! compiles its schedules **once** ([`PreparedSchedule`], shared read-only
-//! via `Arc`), and whose children are `(shift × seed)` sample chunks sized
-//! by [`pool::chunk_size`]. [`sweep_pair_grid`] / [`sweep_lower_grid`]
-//! submit a whole grid of cells as one tree — children of different cells
-//! steal from one another, so a slow cell no longer serializes an artifact
-//! run — while [`sweep_pair_ttr`] / [`sweep_lower_bound`] are the
-//! single-cell special cases. Every sample's randomness derives from its
-//! grid position ([`pool::stream_seed`]), so a sweep's result is
-//! bit-identical at 1, 2, or N threads (asserted by
-//! `tests/parallel_determinism.rs` and `tests/task_tree.rs`).
+//! orchestrator ([`crate::pool::run_tree_barrier`]): each `(algorithm,
+//! scenario)` cell is a parent task whose expansion validates the cell and
+//! builds its one sweep plan — the shift list plus schedules built and
+//! compiled **once** ([`PreparedSchedule`], shared read-only via `Arc`) —
+//! and whose children are `(shift × seed)` sample chunks sized by
+//! [`pool::chunk_size`]. The pair and lower-bound grids share that plan
+//! and its chunk evaluation; they differ only in their shift-list rule and
+//! in how they fold a cell's per-sample TTRs (a [`Summary`] for
+//! [`PairSweep`], the worst witness for [`LowerBoundSweep`]).
+//! [`sweep_pair_grid`] / [`sweep_lower_grid`] submit a whole grid of cells
+//! as one tree — children of different cells steal from one another, so a
+//! slow cell no longer serializes an artifact run — while
+//! [`sweep_pair_ttr`] / [`sweep_lower_bound`] are the single-cell special
+//! cases. Every sample's randomness derives from its grid position
+//! ([`pool::stream_seed`]), so a sweep's result is bit-identical at 1, 2,
+//! or N threads (asserted by `tests/parallel_determinism.rs` and
+//! `tests/task_tree.rs`).
 
 use crate::algo::{AgentCtx, Algorithm, DynSchedule};
 use crate::pool::{self, ParallelConfig};
@@ -223,175 +228,135 @@ pub struct SweepCell {
 /// accounting).
 type PreparedPair = Option<(PreparedSchedule<DynSchedule>, PreparedSchedule<DynSchedule>)>;
 
-/// The validated, construction-hoisted state of one pair-sweep cell: what
-/// the cell's parent task computes when it expands, then shares read-only
-/// (via `Arc`) with the cell's `(shift × seed)` chunk children.
-struct PairSweepPlan {
+/// The validated, construction-hoisted state of one sweep cell: what the
+/// cell's parent task computes when it expands, then shares read-only
+/// (via `Arc`) with the cell's `(shift × seed)` chunk children. Both grids
+/// build it; they differ only in the shift list they hand it and in how
+/// they fold its per-sample outcomes.
+struct SweepPlan {
     algorithm: Algorithm,
     n: u64,
+    scenario: PairScenario,
     k: usize,
     ell: usize,
     horizon: u64,
+    shifts: Vec<u64>,
     seeds: u64,
-    shift_jobs: Vec<u64>,
-    scenario: PairScenario,
     prepared: Option<Vec<PreparedPair>>,
 }
 
-impl PairSweepPlan {
-    /// Validates the cell and hoists schedule construction out of the
-    /// `(shift × seed)` grid: for every algorithm whose schedule does not
-    /// depend on the wake slot ([`Algorithm::wake_sensitive`] is false —
-    /// all but the beacon protocols) both schedules are built **once per
+impl SweepPlan {
+    /// Validates the cell, builds its shift list with `shift_rule` from
+    /// the seed-0 schedule pair, and hoists schedule construction out of
+    /// the `(shift × seed)` grid: for every algorithm whose schedule does
+    /// not depend on the wake slot ([`Algorithm::wake_sensitive`] is false
+    /// — all but the beacon protocols) both schedules are built **once per
     /// seed** and compiled to period tables when small enough. The beacon
     /// protocols, whose schedules listen to a globally-timed stream, keep
     /// the per-(shift, seed) construction (inside the chunk children, so
     /// it parallelizes too).
-    fn new(
+    ///
+    /// `shift_rule` also returns whatever its grid derives from the same
+    /// schedules (the lower grid's certified bound); deterministic
+    /// algorithms sweep one seed whatever `seeds` asks for.
+    fn new<X>(
         algorithm: Algorithm,
         n: u64,
         scenario: &PairScenario,
-        cfg: &SweepConfig,
-    ) -> Result<Self, SweepError> {
+        horizon_override: u64,
+        seeds: u64,
+        shift_rule: impl FnOnce(&DynSchedule, &DynSchedule) -> (Vec<u64>, X),
+    ) -> Result<(Self, X), SweepError> {
         if !scenario.a.overlaps(&scenario.b) {
             return Err(SweepError::DisjointSets);
         }
         let k = scenario.a.len();
         let ell = scenario.b.len();
-        let horizon = if cfg.horizon_override > 0 {
-            cfg.horizon_override
+        let horizon = if horizon_override > 0 {
+            horizon_override
         } else {
             algorithm.horizon(n, k, ell)
         };
         let seeds = if algorithm.is_deterministic() {
             1
         } else {
-            cfg.seeds.max(1)
+            seeds.max(1)
+        };
+        let make = |seed| {
+            let (ctx_a, ctx_b) = seed_ctxs(seed, 0);
+            Some((
+                algorithm.make(n, &scenario.a, &ctx_a)?,
+                algorithm.make(n, &scenario.b, &ctx_b)?,
+            ))
         };
 
-        // Probe instantiation once up front so an impossible scenario is a
-        // typed error instead of `shifts × seeds` silent failures.
-        let (probe_a, probe_b) = seed_ctxs(0, 0);
-        if algorithm.make(n, &scenario.a, &probe_a).is_none()
-            || algorithm.make(n, &scenario.b, &probe_b).is_none()
-        {
-            return Err(SweepError::Unsupported { algorithm, n });
+        // Seed 0 doubles as the instantiation probe, so an impossible
+        // scenario is a typed error instead of `shifts × seeds` silent
+        // failures.
+        let (sa, sb) = make(0).ok_or(SweepError::Unsupported { algorithm, n })?;
+        let (shifts, extra) = shift_rule(&sa, &sb);
+        if shifts.is_empty() {
+            return Err(SweepError::InvalidScenario {
+                reason: "shifts must be at least 1",
+            });
         }
+        let prepare = |(sa, sb)| (PreparedSchedule::new(sa), PreparedSchedule::new(sb));
+        let prepared = (!algorithm.wake_sensitive()).then(|| {
+            std::iter::once(Some(prepare((sa, sb))))
+                .chain((1..seeds).map(|seed| make(seed).map(prepare)))
+                .collect()
+        });
 
-        let stride = if cfg.spread_over_period {
-            // Probe one schedule for its period and spread shifts across
-            // it, with a prime-ish offset so we don't only sample period
-            // multiples.
-            algorithm
-                .make(n, &scenario.a, &AgentCtx::default())
-                .and_then(|s| s.period_hint())
-                .map(|p| (p / cfg.shifts.max(1)).max(1) | 1)
-                .unwrap_or(cfg.shift_stride.max(1))
-        } else {
-            cfg.shift_stride.max(1)
-        };
-        let shift_jobs: Vec<u64> = (0..cfg.shifts).map(|i| i * stride).collect();
-
-        let prepared: Option<Vec<PreparedPair>> = if algorithm.wake_sensitive() {
-            None
-        } else {
-            Some(
-                (0..seeds)
-                    .map(|seed| {
-                        let (ctx_a, ctx_b) = seed_ctxs(seed, 0);
-                        match (
-                            algorithm.make(n, &scenario.a, &ctx_a),
-                            algorithm.make(n, &scenario.b, &ctx_b),
-                        ) {
-                            (Some(sa), Some(sb)) => {
-                                Some((PreparedSchedule::new(sa), PreparedSchedule::new(sb)))
-                            }
-                            _ => None,
-                        }
-                    })
-                    .collect(),
-            )
-        };
-
-        Ok(PairSweepPlan {
+        let plan = SweepPlan {
             algorithm,
             n,
+            scenario: scenario.clone(),
             k,
             ell,
             horizon,
+            shifts,
             seeds,
-            shift_jobs,
-            scenario: scenario.clone(),
             prepared,
-        })
+        };
+        Ok((plan, extra))
     }
 
     /// Flat sample count (sample = shift-major, seed-minor).
     fn total_samples(&self) -> usize {
-        self.shift_jobs.len() * self.seeds as usize
+        self.shifts.len() * self.seeds as usize
     }
 
-    /// Evaluates one chunk of the flat sample grid — a child task's work.
-    fn eval_chunk(&self, range: Range<usize>) -> (Vec<u64>, usize) {
-        let mut local = Vec::with_capacity(range.len());
-        let mut local_failures = 0usize;
-        for sample in range {
-            let shift = self.shift_jobs[sample / self.seeds as usize];
-            let seed = (sample % self.seeds as usize) as u64;
-            let outcome = if let Some(prepared) = &self.prepared {
-                match &prepared[seed as usize] {
-                    Some((sa, sb)) => verify::async_ttr_prepared(sa, sb, shift, self.horizon),
+    /// Evaluates one chunk of the flat sample grid — a child task's work:
+    /// each sample's TTR, `None` when it missed the horizon or its
+    /// schedules could not be instantiated.
+    fn eval_chunk(&self, range: Range<usize>) -> Vec<Option<u64>> {
+        range
+            .map(|sample| {
+                let shift = self.shifts[sample / self.seeds as usize];
+                let seed = (sample % self.seeds as usize) as u64;
+                match &self.prepared {
+                    Some(prepared) => {
+                        let (sa, sb) = prepared[seed as usize].as_ref()?;
+                        verify::async_ttr_prepared(sa, sb, shift, self.horizon)
+                    }
                     None => {
-                        local_failures += 1;
-                        continue;
+                        let (ctx_a, ctx_b) = seed_ctxs(seed, shift);
+                        let sa = self.algorithm.make(self.n, &self.scenario.a, &ctx_a)?;
+                        let sb = self.algorithm.make(self.n, &self.scenario.b, &ctx_b)?;
+                        verify::async_ttr(&sa, &sb, shift, self.horizon)
                     }
                 }
-            } else {
-                let (ctx_a, ctx_b) = seed_ctxs(seed, shift);
-                let (Some(sa), Some(sb)) = (
-                    self.algorithm.make(self.n, &self.scenario.a, &ctx_a),
-                    self.algorithm.make(self.n, &self.scenario.b, &ctx_b),
-                ) else {
-                    local_failures += 1;
-                    continue;
-                };
-                verify::async_ttr(&sa, &sb, shift, self.horizon)
-            };
-            match outcome {
-                Some(ttr) => local.push(ttr),
-                None => local_failures += 1,
-            }
-        }
-        (local, local_failures)
-    }
-
-    /// Folds the chunk results (in child order, so the sample order is
-    /// exactly the sequential one) into the cell's sweep summary.
-    fn finish(&self, parts: Vec<(Vec<u64>, usize)>) -> Result<PairSweep, SweepError> {
-        let mut samples = Vec::with_capacity(self.total_samples());
-        let mut failures = 0usize;
-        for (local, f) in parts {
-            samples.extend(local);
-            failures += f;
-        }
-        let summary = Summary::of(&samples).ok_or(SweepError::NoSamples { failures })?;
-        Ok(PairSweep {
-            algorithm: self.algorithm,
-            n: self.n,
-            k: self.k,
-            ell: self.ell,
-            summary,
-            failures,
-            horizon: self.horizon,
-        })
+            })
+            .collect()
     }
 }
 
-/// Chunks a plan's `total` flat samples into `(plan, range)` child tasks
-/// sized by the workspace-wide [`pool::chunk_size`] policy. Chunk
-/// boundaries never influence results — chunk outputs are folded back in
-/// child order, reconstituting the sequential sample order exactly.
-fn plan_chunks<T>(plan: &Arc<T>, total: usize, threads: usize) -> Vec<(Arc<T>, Range<usize>)> {
+/// Chunks a plan's flat samples into `(plan, range)` child tasks sized by
+/// the workspace-wide [`pool::chunk_size`] policy. Chunk boundaries never
+/// influence results — chunk outputs are concatenated back in child
+/// order, reconstituting the sequential sample order exactly.
+fn plan_chunks(plan: &Arc<SweepPlan>, threads: usize) -> Vec<(Arc<SweepPlan>, Range<usize>)> {
+    let total = plan.total_samples();
     let chunk = pool::chunk_size(total, threads);
     (0..total)
         .step_by(chunk)
@@ -401,9 +366,43 @@ fn plan_chunks<T>(plan: &Arc<T>, total: usize, threads: usize) -> Vec<(Arc<T>, R
 
 /// Sweeps a whole grid of cells as **one task-tree submission**: every
 /// cell is a parent task that expands (on a worker) into its validated
-/// `PairSweepPlan` plus `(shift × seed)` chunk children, all children
-/// work-steal across the one shared pool regardless of which cell they
-/// belong to, and per-cell results fold back in submission order.
+/// [`SweepPlan`] (built by `plan`) plus `(shift × seed)` chunk children,
+/// all children work-steal across the one shared pool regardless of which
+/// cell they belong to, and `finish` folds each cell's per-sample
+/// outcomes (in sample order) in submission order. A cell whose plan
+/// fails is an `Err` in its own slot.
+fn sweep_grid<Cell, X, Out>(
+    cells: Vec<Cell>,
+    parallel: &ParallelConfig,
+    plan: impl Fn(Cell) -> Result<(SweepPlan, X), SweepError> + Sync,
+    finish: impl Fn(&SweepPlan, X, Vec<Option<u64>>) -> Result<Out, SweepError>,
+) -> Vec<Result<Out, SweepError>>
+where
+    Cell: Send,
+    X: Send + Sync,
+{
+    let threads = parallel.requested_threads();
+    pool::run_tree_barrier(
+        cells,
+        parallel,
+        |_cell_index, cell| match plan(cell) {
+            Ok((plan, extra)) => {
+                let plan = Arc::new(plan);
+                let kids = plan_chunks(&plan, threads);
+                (Ok((plan, extra)), kids)
+            }
+            Err(e) => (Err(e), Vec::new()),
+        },
+        |_path, (plan, range): (Arc<SweepPlan>, Range<usize>), _parents| plan.eval_chunk(range),
+    )
+    .into_iter()
+    .map(|(planned, parts)| planned.and_then(|(plan, extra)| finish(&plan, extra, parts.concat())))
+    .collect()
+}
+
+/// Sweeps a whole grid of pair cells as **one task-tree submission** —
+/// cells are parents, `(shift × seed)` chunks are children, and stealing
+/// crosses cells.
 ///
 /// Equivalent to calling [`sweep_pair_ttr`] per cell in order — the
 /// sequential outer loop the artifact pipelines used to run — but the
@@ -415,28 +414,53 @@ pub fn sweep_pair_grid(
     cells: Vec<SweepCell>,
     parallel: &ParallelConfig,
 ) -> Vec<Result<PairSweep, SweepError>> {
-    let threads = parallel.requested_threads();
-    pool::run_tree(
+    sweep_grid(
         cells,
         parallel,
-        move |_cell_index, cell: SweepCell| match PairSweepPlan::new(
-            cell.algorithm,
-            cell.n,
-            &cell.scenario,
-            &cell.cfg,
-        ) {
-            Ok(plan) => {
-                let plan = Arc::new(plan);
-                let kids = plan_chunks(&plan, plan.total_samples(), threads);
-                (Ok(plan), kids)
-            }
-            Err(e) => (Err(e), Vec::new()),
+        |SweepCell {
+             algorithm,
+             n,
+             scenario,
+             cfg,
+         }| {
+            SweepPlan::new(
+                algorithm,
+                n,
+                &scenario,
+                cfg.horizon_override,
+                cfg.seeds,
+                |_, _| {
+                    let stride = if cfg.spread_over_period {
+                        // Probe one schedule for its period and spread
+                        // shifts across it, with a prime-ish offset so we
+                        // don't only sample period multiples.
+                        algorithm
+                            .make(n, &scenario.a, &AgentCtx::default())
+                            .and_then(|s| s.period_hint())
+                            .map(|p| (p / cfg.shifts.max(1)).max(1) | 1)
+                            .unwrap_or(cfg.shift_stride.max(1))
+                    } else {
+                        cfg.shift_stride.max(1)
+                    };
+                    ((0..cfg.shifts).map(|i| i * stride).collect(), ())
+                },
+            )
         },
-        |_path, (plan, range): (Arc<PairSweepPlan>, Range<usize>)| plan.eval_chunk(range),
+        |plan, (), outcomes| {
+            let failures = outcomes.iter().filter(|o| o.is_none()).count();
+            let samples: Vec<u64> = outcomes.into_iter().flatten().collect();
+            let summary = Summary::of(&samples).ok_or(SweepError::NoSamples { failures })?;
+            Ok(PairSweep {
+                algorithm: plan.algorithm,
+                n: plan.n,
+                k: plan.k,
+                ell: plan.ell,
+                summary,
+                failures,
+                horizon: plan.horizon,
+            })
+        },
     )
-    .into_iter()
-    .map(|(plan, parts)| plan.and_then(|p| p.finish(parts)))
-    .collect()
 }
 
 /// Measures times-to-rendezvous for one algorithm on one scenario across
@@ -450,13 +474,14 @@ pub fn sweep_pair_grid(
 ///
 /// Schedule construction is hoisted out of the `(shift × seed)` grid and
 /// shared read-only across the work-stealing workers (see
-/// `PairSweepPlan::new`).
+/// `SweepPlan::new`).
 ///
 /// # Errors
 ///
 /// * [`SweepError::DisjointSets`] — the scenario's sets cannot rendezvous;
 /// * [`SweepError::Unsupported`] — the algorithm refuses the scenario
 ///   (e.g. a channel exceeding the universe);
+/// * [`SweepError::InvalidScenario`] — `cfg.shifts` is zero;
 /// * [`SweepError::NoSamples`] — every sample missed the horizon.
 pub fn sweep_pair_ttr(
     algorithm: Algorithm,
@@ -588,163 +613,6 @@ pub struct LowerCell {
     pub cfg: LowerSweepConfig,
 }
 
-/// The validated state of one lower-bound cell: certified covering bound,
-/// shift list, and hoisted schedules — computed when the cell's parent
-/// task expands, shared read-only with its shift-chunk children.
-struct LowerSweepPlan {
-    algorithm: Algorithm,
-    n: u64,
-    k: usize,
-    ell: usize,
-    horizon: u64,
-    certified_bound: u64,
-    bound_kind: &'static str,
-    shifts: Vec<u64>,
-    exhaustive: bool,
-    scenario: PairScenario,
-    prepared: Option<(PreparedSchedule<DynSchedule>, PreparedSchedule<DynSchedule>)>,
-}
-
-impl LowerSweepPlan {
-    fn new(
-        algorithm: Algorithm,
-        n: u64,
-        scenario: &PairScenario,
-        cfg: &LowerSweepConfig,
-    ) -> Result<Self, SweepError> {
-        if !scenario.a.overlaps(&scenario.b) {
-            return Err(SweepError::DisjointSets);
-        }
-        let k = scenario.a.len();
-        let ell = scenario.b.len();
-        let horizon = if cfg.horizon_override > 0 {
-            cfg.horizon_override
-        } else {
-            algorithm.horizon(n, k, ell)
-        };
-
-        let (ctx_a, ctx_b) = seed_ctxs(0, 0);
-        let (Some(sa), Some(sb)) = (
-            algorithm.make(n, &scenario.a, &ctx_a),
-            algorithm.make(n, &scenario.b, &ctx_b),
-        ) else {
-            return Err(SweepError::Unsupported { algorithm, n });
-        };
-
-        // The certified lower bound for this concrete pair of schedules.
-        let (certified_bound, bound_kind) = if cfg.sync {
-            (0, "trivial (single alignment)")
-        } else if algorithm.wake_sensitive() {
-            (0, "none (wake-sensitive schedule)")
-        } else {
-            let bound = rdv_lower::best_bound(&sa, &sb);
-            if sa.period_hint().is_some() {
-                (bound, "covering (Thm 7 density argument)")
-            } else {
-                (bound, "none (aperiodic schedule)")
-            }
-        };
-
-        // The shift list: exhaustive over one period of σ_A when it fits,
-        // sampled with a period-spread stride otherwise.
-        let (shifts, exhaustive): (Vec<u64>, bool) = if cfg.sync {
-            (vec![0], false)
-        } else {
-            match sa.period_hint() {
-                Some(p) if p <= cfg.max_exhaustive_shifts => ((0..p).collect(), true),
-                hint => {
-                    let count = cfg.sampled_shifts.max(1);
-                    let stride = hint.map(|p| (p / count).max(1) | 1).unwrap_or(13);
-                    ((0..count).map(|i| i * stride).collect(), false)
-                }
-            }
-        };
-
-        let prepared = if algorithm.wake_sensitive() {
-            None
-        } else {
-            Some((PreparedSchedule::new(sa), PreparedSchedule::new(sb)))
-        };
-
-        Ok(LowerSweepPlan {
-            algorithm,
-            n,
-            k,
-            ell,
-            horizon,
-            certified_bound,
-            bound_kind,
-            shifts,
-            exhaustive,
-            scenario: scenario.clone(),
-            prepared,
-        })
-    }
-
-    /// Evaluates one chunk of the shift list — a child task's work.
-    /// Returns `(worst ttr with its smallest shift, failures)`.
-    fn eval_chunk(&self, range: Range<usize>) -> (Option<(u64, u64)>, usize) {
-        let mut worst: Option<(u64, u64)> = None;
-        let mut failures = 0usize;
-        for at in range {
-            let shift = self.shifts[at];
-            let outcome = match &self.prepared {
-                Some((pa, pb)) => verify::async_ttr_prepared(pa, pb, shift, self.horizon),
-                None => {
-                    let (ctx_a, ctx_b) = seed_ctxs(0, shift);
-                    match (
-                        self.algorithm.make(self.n, &self.scenario.a, &ctx_a),
-                        self.algorithm.make(self.n, &self.scenario.b, &ctx_b),
-                    ) {
-                        (Some(sa), Some(sb)) => verify::async_ttr(&sa, &sb, shift, self.horizon),
-                        _ => None,
-                    }
-                }
-            };
-            match outcome {
-                Some(ttr) if worst.is_none_or(|(w, _)| ttr > w) => worst = Some((ttr, shift)),
-                Some(_) => {}
-                None => failures += 1,
-            }
-        }
-        (worst, failures)
-    }
-
-    /// Folds the chunk results (in child order — the strict `>` fold
-    /// keeps the smallest witness shift independent of chunk boundaries)
-    /// into the cell's lower-bound record.
-    fn finish(
-        &self,
-        parts: Vec<(Option<(u64, u64)>, usize)>,
-    ) -> Result<LowerBoundSweep, SweepError> {
-        let mut worst: Option<(u64, u64)> = None;
-        let mut failures = 0usize;
-        for (local, f) in parts {
-            failures += f;
-            if let Some((ttr, shift)) = local {
-                if worst.is_none_or(|(w, _)| ttr > w) {
-                    worst = Some((ttr, shift));
-                }
-            }
-        }
-        let (witness_ttr, witness_shift) = worst.ok_or(SweepError::NoSamples { failures })?;
-        Ok(LowerBoundSweep {
-            algorithm: self.algorithm,
-            n: self.n,
-            k: self.k,
-            ell: self.ell,
-            certified_bound: self.certified_bound,
-            bound_kind: self.bound_kind,
-            witness_ttr,
-            witness_shift,
-            shifts_swept: self.shifts.len() as u64,
-            exhaustive: self.exhaustive,
-            failures,
-            horizon: self.horizon,
-        })
-    }
-}
-
 /// Sweeps a whole lower-bound grid as one task-tree submission — the
 /// [`sweep_pair_grid`] counterpart behind the `repro lower` pipeline's
 /// measurement cells. Cells are parents, shift chunks are children, and
@@ -753,28 +621,82 @@ pub fn sweep_lower_grid(
     cells: Vec<LowerCell>,
     parallel: &ParallelConfig,
 ) -> Vec<Result<LowerBoundSweep, SweepError>> {
-    let threads = parallel.requested_threads();
-    pool::run_tree(
+    sweep_grid(
         cells,
         parallel,
-        move |_cell_index, cell: LowerCell| match LowerSweepPlan::new(
-            cell.algorithm,
-            cell.n,
-            &cell.scenario,
-            &cell.cfg,
-        ) {
-            Ok(plan) => {
-                let plan = Arc::new(plan);
-                let kids = plan_chunks(&plan, plan.shifts.len(), threads);
-                (Ok(plan), kids)
-            }
-            Err(e) => (Err(e), Vec::new()),
+        |LowerCell {
+             algorithm,
+             n,
+             scenario,
+             cfg,
+         }| {
+            SweepPlan::new(
+                algorithm,
+                n,
+                &scenario,
+                cfg.horizon_override,
+                1,
+                |sa, sb| {
+                    // The certified lower bound for this concrete pair of
+                    // schedules.
+                    let (certified_bound, bound_kind) = if cfg.sync {
+                        (0, "trivial (single alignment)")
+                    } else if algorithm.wake_sensitive() {
+                        (0, "none (wake-sensitive schedule)")
+                    } else {
+                        let bound = rdv_lower::best_bound(sa, sb);
+                        if sa.period_hint().is_some() {
+                            (bound, "covering (Thm 7 density argument)")
+                        } else {
+                            (bound, "none (aperiodic schedule)")
+                        }
+                    };
+                    // The shift list: exhaustive over one period of σ_A when it
+                    // fits, sampled with a period-spread stride otherwise.
+                    let (shifts, exhaustive) = if cfg.sync {
+                        (vec![0], false)
+                    } else {
+                        match sa.period_hint() {
+                            Some(p) if p <= cfg.max_exhaustive_shifts => ((0..p).collect(), true),
+                            hint => {
+                                let count = cfg.sampled_shifts.max(1);
+                                let stride = hint.map(|p| (p / count).max(1) | 1).unwrap_or(13);
+                                ((0..count).map(|i| i * stride).collect(), false)
+                            }
+                        }
+                    };
+                    (shifts, (certified_bound, bound_kind, exhaustive))
+                },
+            )
         },
-        |_path, (plan, range): (Arc<LowerSweepPlan>, Range<usize>)| plan.eval_chunk(range),
+        |plan, (certified_bound, bound_kind, exhaustive), outcomes| {
+            // The strict `>` fold keeps the smallest witness shift.
+            let mut worst: Option<(u64, u64)> = None;
+            let mut failures = 0usize;
+            for (&shift, outcome) in plan.shifts.iter().zip(outcomes) {
+                match outcome {
+                    Some(ttr) if worst.is_none_or(|(w, _)| ttr > w) => worst = Some((ttr, shift)),
+                    Some(_) => {}
+                    None => failures += 1,
+                }
+            }
+            let (witness_ttr, witness_shift) = worst.ok_or(SweepError::NoSamples { failures })?;
+            Ok(LowerBoundSweep {
+                algorithm: plan.algorithm,
+                n: plan.n,
+                k: plan.k,
+                ell: plan.ell,
+                certified_bound,
+                bound_kind,
+                witness_ttr,
+                witness_shift,
+                shifts_swept: plan.shifts.len() as u64,
+                exhaustive,
+                failures,
+                horizon: plan.horizon,
+            })
+        },
     )
-    .into_iter()
-    .map(|(plan, parts)| plan.and_then(|p| p.finish(parts)))
-    .collect()
 }
 
 /// Measures one lower-bound cell: computes the certified covering bound

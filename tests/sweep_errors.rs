@@ -7,7 +7,8 @@
 use blind_rendezvous::prelude::*;
 use blind_rendezvous::sim::workload::{self, PairScenario};
 use blind_rendezvous::sim::{
-    sweep_lower_bound, sweep_pair_ttr, LowerSweepConfig, SweepConfig, SweepError,
+    sweep_lower_bound, sweep_pair_grid, sweep_pair_ttr, LowerSweepConfig, ParallelConfig,
+    SweepCell, SweepConfig, SweepError,
 };
 
 #[test]
@@ -76,6 +77,32 @@ fn disjoint_sets_surface_from_every_entry_point() {
             .expect_err("disjoint sets cannot sweep"),
         SweepError::DisjointSets
     );
+}
+
+#[test]
+fn zero_shift_sweep_is_an_invalid_scenario_not_a_missed_horizon() {
+    // Zero shifts means zero samples: a parameter error, not "all 0
+    // samples missed the horizon" — in a grid as well as for one cell.
+    let scenario = workload::adversarial_overlap_one(8, 3, 3).expect("fits");
+    let cfg = SweepConfig {
+        shifts: 0,
+        ..SweepConfig::default()
+    };
+    for algo in [Algorithm::Ours, Algorithm::Random, Algorithm::BeaconB] {
+        let err = sweep_pair_ttr(algo, 8, &scenario, &cfg).expect_err("no shift to sweep");
+        assert!(
+            matches!(err, SweepError::InvalidScenario { reason } if reason.contains("shifts")),
+            "{algo}: {err}"
+        );
+        let cells = vec![SweepCell {
+            algorithm: algo,
+            n: 8,
+            scenario: scenario.clone(),
+            cfg,
+        }];
+        let grid = sweep_pair_grid(cells, &ParallelConfig::with_threads(2));
+        assert_eq!(grid[0].as_ref().err(), Some(&err), "{algo}");
+    }
 }
 
 #[test]

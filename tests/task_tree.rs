@@ -1,9 +1,9 @@
-//! The task-tree orchestrator contract (`pool::run_tree`): parallel tree
-//! submissions must be **indistinguishable** from the sequential
-//! two-nested-loops reference for every tree shape — including empty
-//! parents, single-child parents, and whole sweep grids — at every thread
-//! count, and a panicking task must propagate instead of deadlocking the
-//! pool. The hardened runner inverts that last clause: under
+//! The task-tree orchestrator contract (`pool::run_tree_barrier`, the one
+//! scheduler under every sweep): parallel tree submissions must be
+//! **indistinguishable** from the sequential two-nested-loops reference
+//! for every tree shape — including empty parents, single-child parents,
+//! and whole sweep grids — at every thread count, and a panicking task
+//! (expansion or child) must propagate instead of deadlocking the pool. The hardened runner inverts that last clause: under
 //! `run_indexed_quarantined_sink` a panicking task is *recorded* in its
 //! result slot, every task reaches the completion sink exactly once, and
 //! the rest of the grid completes; `retry_with_backoff` rounds out the
@@ -14,9 +14,14 @@ use blind_rendezvous::sim::sweep::{sweep_pair_grid, sweep_pair_ttr, SweepCell};
 use blind_rendezvous::sim::workload::{self, PairScenario};
 use blind_rendezvous::sim::{Algorithm, SweepConfig, SweepError};
 use proptest::prelude::*;
-use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
+
+/// A per-path value every child mixes into its result, so a child landing
+/// under the wrong `(parent, child)` path changes the output.
+fn path_mix(parent: usize, child: usize) -> u64 {
+    pool::stream_seed(pool::stream_seed(42, parent as u64), child as u64)
+}
 
 /// The sequential two-nested-loops reference: what a tree submission of
 /// `shape` (each parent a list of child payloads) must produce, computed
@@ -30,7 +35,7 @@ fn reference(shape: &[Vec<u64>]) -> Vec<(u64, Vec<u64>)> {
             let rs = kids
                 .iter()
                 .enumerate()
-                .map(|(ci, &c)| c.wrapping_mul(3) ^ pool::tree_seed(42, pi as u64, ci as u64))
+                .map(|(ci, &c)| c.wrapping_mul(3) ^ path_mix(pi, ci))
                 .collect();
             (pr, rs)
         })
@@ -39,7 +44,7 @@ fn reference(shape: &[Vec<u64>]) -> Vec<(u64, Vec<u64>)> {
 
 /// The same computation as [`reference`], submitted as a task tree.
 fn via_tree(shape: Vec<Vec<u64>>, threads: usize) -> Vec<(u64, Vec<u64>)> {
-    pool::run_tree(
+    pool::run_tree_barrier(
         shape,
         &ParallelConfig::with_threads(threads),
         |pi, kids: Vec<u64>| {
@@ -48,7 +53,9 @@ fn via_tree(shape: Vec<Vec<u64>>, threads: usize) -> Vec<(u64, Vec<u64>)> {
                 kids,
             )
         },
-        |path: TreePath, c: u64| c.wrapping_mul(3) ^ path.stream_seed(42),
+        |path: TreePath, c: u64, _outputs: pool::ParentOutputs<'_, u64>| {
+            c.wrapping_mul(3) ^ path_mix(path.parent, path.child)
+        },
     )
 }
 
@@ -83,7 +90,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn run_tree_equals_the_nested_loop_reference_for_random_shapes(
+    fn barrier_tree_equals_the_nested_loop_reference_for_random_shapes(
         shape in proptest::collection::vec(
             proptest::collection::vec(any::<u64>(), 0..7), 0..14),
         threads in 1usize..9,
@@ -95,11 +102,11 @@ proptest! {
 #[test]
 fn child_panic_propagates_without_deadlock() {
     let result = catch_unwind(AssertUnwindSafe(|| {
-        pool::run_tree(
+        pool::run_tree_barrier(
             (0..16u64).collect::<Vec<_>>(),
             &ParallelConfig::with_threads(4),
             |_, p| ((), vec![p; 4]),
-            |path: TreePath, c: u64| {
+            |path: TreePath, c: u64, _outputs: pool::ParentOutputs<'_, ()>| {
                 if path.parent == 7 && path.child == 2 {
                     panic!("child bomb");
                 }
@@ -116,7 +123,7 @@ fn child_panic_propagates_without_deadlock() {
 #[test]
 fn expand_panic_propagates_without_deadlock() {
     let result = catch_unwind(AssertUnwindSafe(|| {
-        pool::run_tree(
+        pool::run_tree_barrier(
             (0..16u64).collect::<Vec<_>>(),
             &ParallelConfig::with_threads(4),
             |pi, p| {
@@ -125,7 +132,7 @@ fn expand_panic_propagates_without_deadlock() {
                 }
                 ((), vec![p])
             },
-            |_path: TreePath, c: u64| c,
+            |_path: TreePath, c: u64, _outputs: pool::ParentOutputs<'_, ()>| c,
         );
     }));
     assert!(
@@ -181,21 +188,6 @@ fn barrier_children_see_every_parent_output_at_every_thread_count() {
                 &[285 + 2 * p as u64],
                 "at {threads} threads"
             );
-        }
-    }
-}
-
-#[test]
-fn tree_seeds_are_distinct_across_grid_paths() {
-    for base in [0u64, 42, u64::MAX] {
-        let mut seen = HashSet::new();
-        for parent in 0..64u64 {
-            for child in 0..64u64 {
-                assert!(
-                    seen.insert(pool::tree_seed(base, parent, child)),
-                    "path seed collision at ({parent}, {child}) under base {base}"
-                );
-            }
         }
     }
 }
