@@ -120,11 +120,13 @@ impl<S: Schedule> PreparedSchedule<S> {
     /// the raw schedule when the period is unknown or exceeds `max_period`.
     ///
     /// The default cap is sized for *one* schedule evaluated millions of
-    /// times (a pair sweep). Population-scale consumers — the multi-agent
-    /// arena engine prepares one schedule **per agent** and reuses it
-    /// across every block of the run — divide a total table budget by the
-    /// agent count and pass the quotient here, so a 10k-agent simulation
-    /// cannot materialize 10k maximum-size tables.
+    /// times (a pair sweep). Population-scale consumers that prepare one
+    /// schedule per agent or per shared schedule divide a total table
+    /// budget by the agent count and pass the quotient here, so a
+    /// 10k-agent population cannot materialize 10k maximum-size tables.
+    /// (The multi-agent arena engine goes further and compiles only the
+    /// slots a run reads, which may be a prefix of the period; see
+    /// `rdv_sim::engine`.)
     pub fn new_capped(schedule: S, max_period: u64) -> Self {
         match CompiledSchedule::compile_capped(&schedule, max_period) {
             Some(c) => PreparedSchedule::Table(c),

@@ -14,10 +14,10 @@
 //!    its chunk's rows as an owned buffer, which the expansion barrier
 //!    publishes read-only to every resolve task ([`pool::ParentOutputs`])
 //!    — no atomics, so the fill loops autovectorize over plain
-//!    `&mut [u64]` rows. Schedules are prepared once per run
-//!    ([`PreparedSchedule::new_capped`], budgeted across the population)
-//!    and reused across every block. `0` marks not-yet-awake slots
-//!    (channels are 1-indexed, so the sentinel is unambiguous).
+//!    `&mut [u64]` rows. Schedules are prepared once per run, one per
+//!    share-key group, and reused across every block. `0` marks
+//!    not-yet-awake slots (channels are 1-indexed, so the sentinel is
+//!    unambiguous).
 //! 2. **Resolve** — pending pairs are resolved in parallel over the
 //!    published rows, in one of two modes (see [`ResolveMode`]).
 //!
@@ -25,6 +25,24 @@
 //! per *pair* it participated in — `O(pairs)` fills per block, ~500k
 //! redundant fills per block on a dense 1k-agent population. The arena
 //! pays `O(agents)` fills per block regardless of density.
+//!
+//! # Read-bounded schedule tables
+//!
+//! A run reads agent `i`'s schedule only at the local slots
+//! `[0, horizon − wake_i)`, and Theorem 3 meetings come long before a
+//! period ends (at `n = 64`, `k = 8` the period is 10,296 slots, the
+//! bench horizon 4,096). So each share-key group's preparation is
+//! decided from the slots the run will read. The table length is
+//! `L = min(period, span)`, where `span = max(horizon − wake)` over the
+//! group's members (`L = span` when the schedule has no period hint).
+//! The group compiles an `L`-slot table when `0 < L ≤
+//! COMPILE_BUDGET_SLOTS / n` and its members read `Σ(horizon − wake) ≥
+//! 2L` slots — each entry read at least twice on average, since compiling
+//! an entry costs about one raw fill of it — and fills raw otherwise. A
+//! singleton therefore compiles only a period it reads at least twice.
+//! A table shorter than the period is a *prefix*, which the engine keeps
+//! private (`GroupSchedule`): it covers every slot a member reads, but it
+//! is not a period and must never pose as one.
 //!
 //! # Pair-major vs bucket resolution
 //!
@@ -49,7 +67,7 @@ use crate::algo::DynSchedule;
 use crate::pool::{self, ParallelConfig};
 use rdv_core::bitplane;
 use rdv_core::channel::ChannelSet;
-use rdv_core::compiled::PreparedSchedule;
+use rdv_core::compiled::CompiledSchedule;
 use rdv_core::fault::{FaultPlan, InPlayWindow};
 use rdv_core::schedule::Schedule;
 use std::collections::{HashMap, HashSet};
@@ -61,9 +79,11 @@ use std::ops::Range;
 const BLOCK: usize = 512;
 
 /// Total compiled-schedule table budget across the population, in slots
-/// (64 MiB of `u64` tables). Each agent gets an equal share as its
-/// [`PreparedSchedule::new_capped`] period cap; agents whose period does
-/// not fit fall back to their raw block-fill kernel.
+/// (64 MiB of `u64` tables). Each schedule group's table is capped at one
+/// agent's equal share, `COMPILE_BUDGET_SLOTS / n` slots: on the
+/// clustered 512-agent bench a per-group share compiled tables too large
+/// for cache and cost the fill phase ~2×. Groups whose read-bounded table
+/// length (see the module docs) exceeds the cap fill raw.
 const COMPILE_BUDGET_SLOTS: u64 = 1 << 23;
 
 /// [`ResolveMode::Auto`] switches from pair-major to the bucket scan when
@@ -113,7 +133,7 @@ pub struct Agent {
     /// promise their `schedule`s are interchangeable (identical
     /// `channel_at` for every slot — e.g. the same deterministic
     /// algorithm on the same channel set), letting the engine compile
-    /// one period table per key instead of one per agent. Clustered
+    /// one table per key instead of one per agent. Clustered
     /// populations repeat channel sets heavily, so this collapses the
     /// compile path from `O(agents)` to `O(distinct sets)`. `None` (the
     /// safe default) never shares.
@@ -371,6 +391,39 @@ enum Parent<'a> {
     FanOut(Vec<Task<'a>>),
 }
 
+/// A schedule group's schedule as the fill phase reads it, decided once
+/// per run by [`Simulation::prepare_groups`].
+enum GroupSchedule<'a> {
+    /// Filled through the schedule's own block kernel.
+    Raw(&'a DynSchedule),
+    /// One full period, rotated through on every fill.
+    Period(CompiledSchedule),
+    /// Local slots `[0, len)` of a schedule whose period is longer (or
+    /// unknown): every slot a member of the group reads, and nothing past
+    /// it — not a period, so it never becomes a [`CompiledSchedule`].
+    Prefix(Vec<u64>),
+}
+
+impl GroupSchedule<'_> {
+    /// Writes the channels of local slots `start..start + out.len()`.
+    fn fill(&self, start: u64, out: &mut [u64]) {
+        match self {
+            GroupSchedule::Raw(s) => s.fill_channels(start, out),
+            GroupSchedule::Period(c) => c.fill_channels(start, out),
+            GroupSchedule::Prefix(t) => {
+                let start = start as usize;
+                debug_assert!(
+                    start + out.len() <= t.len(),
+                    "fill of slots {start}..{} reads past a {}-slot prefix",
+                    start + out.len(),
+                    t.len()
+                );
+                out.copy_from_slice(&t[start..start + out.len()]);
+            }
+        }
+    }
+}
+
 /// Fills `row` (one slot per entry) with the channels an agent hops for
 /// the block starting at `block_start`, masked for presence: slots
 /// before the agent wakes or arrives, at or after it departs, and slots
@@ -383,8 +436,8 @@ enum Parent<'a> {
 /// per-pair reference both go through it, so the layouts cannot drift on
 /// fault semantics (`tests/fault_injection.rs` pins them against each
 /// other and a naive oracle).
-fn fill_masked_row<S: Schedule>(
-    schedule: &S,
+fn fill_masked_row(
+    schedule: &GroupSchedule,
     wake: u64,
     window: InPlayWindow,
     plan: Option<&FaultPlan>,
@@ -401,7 +454,7 @@ fn fill_masked_row<S: Schedule>(
     let lead = (awake_from - block_start) as usize;
     row[..lead].fill(0);
     let live = &mut row[lead..];
-    schedule.fill_channels(awake_from - wake, live);
+    schedule.fill(awake_from - wake, live);
     if let Some(p) = plan {
         let present = window
             .depart
@@ -562,9 +615,9 @@ impl Simulation {
     /// Maps each agent to its schedule-sharing group: agents with equal
     /// `Some` [`Agent::share_key`]s share a group, keyless agents get
     /// their own. Group ids are assigned in first-appearance order, so
-    /// `group_of[i] == prepared.len()` exactly when agent `i` opens a
-    /// new group — the invariant the prepare loop in
-    /// [`Self::run_engine`] relies on.
+    /// `group_of[i]` equals the number of groups seen before agent `i`
+    /// exactly when `i` opens a new group — the invariant
+    /// [`Self::prepare_groups`] relies on.
     fn schedule_group_indices(&self) -> Vec<usize> {
         let mut by_key: HashMap<u64, usize> = HashMap::new();
         let mut next = 0usize;
@@ -583,8 +636,49 @@ impl Simulation {
             .collect()
     }
 
+    /// Prepares one [`GroupSchedule`] per schedule group for a run to
+    /// `horizon` by the read-bounded rule of the module docs, returned
+    /// with the agent → group map: a full period when the table length
+    /// `L` is the period, a prefix when it is shorter, raw when the group
+    /// reads too little or `L` exceeds the per-agent cap.
+    fn prepare_groups(&self, horizon: u64) -> (Vec<usize>, Vec<GroupSchedule<'_>>) {
+        let group_of = self.schedule_group_indices();
+        let cap = COMPILE_BUDGET_SLOTS / self.agents.len().max(1) as u64;
+        // Per group: its first member's schedule, the longest member read
+        // (`span`) and the slots all members read (`reads`).
+        let mut groups: Vec<(&DynSchedule, u64, u64)> = Vec::new();
+        for (agent, &g) in self.agents.iter().zip(&group_of) {
+            if g == groups.len() {
+                groups.push((&agent.schedule, 0, 0));
+            }
+            let read = horizon.saturating_sub(agent.wake);
+            let (_, span, reads) = &mut groups[g];
+            *span = (*span).max(read);
+            *reads = reads.saturating_add(read);
+        }
+        let prepared = groups
+            .into_iter()
+            .map(|(schedule, span, reads)| {
+                let period = schedule.period_hint();
+                let len = period.map_or(span, |p| p.min(span));
+                if len == 0 || len > cap || reads < 2 * len {
+                    return GroupSchedule::Raw(schedule);
+                }
+                if period == Some(len) {
+                    let table = CompiledSchedule::compile_capped(schedule, len)
+                        .expect("a period within its own length compiles");
+                    return GroupSchedule::Period(table);
+                }
+                let mut table = vec![0u64; len as usize];
+                schedule.fill_channels(0, &mut table);
+                GroupSchedule::Prefix(table)
+            })
+            .collect();
+        (group_of, prepared)
+    }
+
     /// How many distinct schedules the arena engine prepares (and, when
-    /// their periods fit the budget, compiles) for this population — the
+    /// the run reads enough of them, compiles) for this population — the
     /// observable the share-key dedup regression tests pin.
     pub fn schedule_groups(&self) -> usize {
         self.schedule_group_indices()
@@ -675,23 +769,7 @@ impl Simulation {
             load[i] += 1;
             load[j] += 1;
         }
-        // Compiled-schedule reuse across blocks *and* across agents:
-        // agents sharing a `share_key` share one prepared schedule. The
-        // period cap stays the per-*agent* budget share — measured on the
-        // clustered 512-agent bench, raising it to a per-group share
-        // compiles tables too large for cache and costs the fill phase
-        // ~2× — so sharing strictly reduces compile time and table
-        // memory (groups ≤ agents) without changing which schedules
-        // compile or how fills behave.
-        let group_of = self.schedule_group_indices();
-        let groups = group_of.iter().copied().max().map_or(0, |g| g + 1);
-        let cap = COMPILE_BUDGET_SLOTS / n.max(1) as u64;
-        let mut prepared: Vec<PreparedSchedule<&DynSchedule>> = Vec::with_capacity(groups);
-        for (i, &g) in group_of.iter().enumerate() {
-            if g == prepared.len() {
-                prepared.push(PreparedSchedule::new_capped(&self.agents[i].schedule, cap));
-            }
-        }
+        let (group_of, prepared) = self.prepare_groups(horizon);
         let max_channel = self
             .agents
             .iter()
@@ -980,13 +1058,17 @@ impl Simulation {
         if start >= end {
             return None;
         }
+        let (si, sj) = (
+            GroupSchedule::Raw(&ai.schedule),
+            GroupSchedule::Raw(&aj.schedule),
+        );
         let mut bufi = [0u64; BLOCK];
         let mut bufj = [0u64; BLOCK];
         let mut t = start;
         while t < end {
             let len = (end - t).min(BLOCK as u64) as usize;
-            fill_masked_row(&ai.schedule, ai.wake, wi, plan, t, &mut bufi[..len]);
-            fill_masked_row(&aj.schedule, aj.wake, wj, plan, t, &mut bufj[..len]);
+            fill_masked_row(&si, ai.wake, wi, plan, t, &mut bufi[..len]);
+            fill_masked_row(&sj, aj.wake, wj, plan, t, &mut bufj[..len]);
             for x in 0..len {
                 // Masked slots are 0 in *both* buffers, so a shared
                 // blackout cannot read as a meeting — the same sentinel
@@ -1187,6 +1269,8 @@ fn bucket_scan(
 mod tests {
     use super::*;
     use crate::algo::{AgentCtx, Algorithm};
+    use rdv_core::channel::Channel;
+    use rdv_core::schedule::CyclicSchedule;
 
     #[test]
     fn outage_masking_matches_per_slot_availability() {
@@ -1452,6 +1536,96 @@ mod tests {
         assert!(
             sim.schedule_groups() < sim.agents().len(),
             "a clustered population must actually share schedules"
+        );
+    }
+
+    /// The channel cycle `1..=period`, keyed into share group `key`.
+    fn cycling(period: u64, wake: u64, key: Option<u64>) -> Agent {
+        let hops = (1..=period).map(Channel::new).collect();
+        Agent {
+            set: ChannelSet::new(1..=period).unwrap(),
+            wake,
+            schedule: Box::new(CyclicSchedule::new(hops).unwrap()),
+            share_key: key,
+        }
+    }
+
+    /// What `prepare_groups` decided for one group: `None` for a raw
+    /// fill, else the table kind and its length.
+    fn decision(g: &GroupSchedule) -> Option<(&'static str, usize)> {
+        match g {
+            GroupSchedule::Raw(_) => None,
+            GroupSchedule::Period(c) => Some(("period", c.table().len())),
+            GroupSchedule::Prefix(t) => Some(("prefix", t.len())),
+        }
+    }
+
+    #[test]
+    fn prepare_groups_compiles_only_the_slots_a_run_reads() {
+        /// Hops 1, 2, 1, 2, … but claims no period.
+        struct Aperiodic;
+        impl Schedule for Aperiodic {
+            fn channel_at(&self, t: u64) -> Channel {
+                Channel::new(1 + t % 2)
+            }
+        }
+        let aperiodic = |wake| Agent {
+            set: ChannelSet::new([1, 2]).unwrap(),
+            wake,
+            schedule: Box::new(Aperiodic),
+            share_key: Some(5),
+        };
+        let horizon = 600;
+        let sim = Simulation::new(vec![
+            // A singleton whose period outlasts its read fills raw.
+            cycling(1000, 0, None),
+            // Two members reading 500 slots each: a 500-slot prefix.
+            cycling(1000, 100, Some(1)),
+            cycling(1000, 100, Some(1)),
+            // A period inside the span: the full period, even though one
+            // member reads only 100 slots.
+            cycling(7, 0, Some(2)),
+            cycling(7, 500, Some(2)),
+            // Every member wakes at or after the horizon: nothing to read.
+            cycling(9, 600, Some(3)),
+            cycling(9, 900, Some(3)),
+            // Two members reading 600 and 500 slots of a 1000-slot period
+            // read each entry less than twice on average: raw.
+            cycling(1000, 0, Some(4)),
+            cycling(1000, 100, Some(4)),
+            // No period hint: a prefix of the longest read.
+            aperiodic(0),
+            aperiodic(250),
+            aperiodic(300),
+        ]);
+        let (group_of, prepared) = sim.prepare_groups(horizon);
+        assert_eq!(group_of, [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 5]);
+        let decided: Vec<_> = prepared.iter().map(decision).collect();
+        assert_eq!(
+            decided,
+            [
+                None,
+                Some(("prefix", 500)),
+                Some(("period", 7)),
+                None,
+                None,
+                Some(("prefix", 600)),
+            ]
+        );
+        // Tables hold exactly the schedule's channels at their slots.
+        for (agent, &g) in sim.agents().iter().zip(&group_of) {
+            let mut want = [0u64; 40];
+            let mut got = [0u64; 40];
+            agent.schedule.fill_channels(3, &mut want);
+            prepared[g].fill(3, &mut got);
+            assert_eq!(got, want, "group {g}");
+        }
+        // The late group is never filled, and the run does not panic.
+        let report = sim.run(horizon);
+        assert!(report.missed.iter().any(|m| m.pair == (5, 6)));
+        assert_eq!(
+            report,
+            sim.run_per_pair_reference(horizon, &ParallelConfig::default())
         );
     }
 

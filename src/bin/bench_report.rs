@@ -68,20 +68,28 @@ use rdv_sim::{workload, Algorithm, FaultProfile, PairSweep, ParallelConfig};
 use serde_json::Value;
 use std::time::Instant;
 
-/// Mean seconds per call: one warm-up, then at least `min_reps` reps and
-/// `min_secs` of wall clock.
+/// Fewest individually timed reps behind a [`time_reps`] median.
+const MIN_TIMED_REPS: u32 = 5;
+
+/// Median seconds per call: one warm-up, then individually timed reps —
+/// at least `min_reps` of them, at least [`MIN_TIMED_REPS`], and at least
+/// `min_secs` of wall clock. Unlike a mean over the loop, the median
+/// ignores the few reps a busy host slows.
 fn time_reps<F: FnMut()>(mut f: F, min_secs: f64, min_reps: u32) -> f64 {
     f();
-    let mut reps = 0u32;
+    let mut reps = Vec::new();
     let start = Instant::now();
     loop {
+        let rep = Instant::now();
         f();
-        reps += 1;
-        if start.elapsed().as_secs_f64() > min_secs && reps >= min_reps {
+        reps.push(rep.elapsed().as_secs_f64());
+        if start.elapsed().as_secs_f64() > min_secs
+            && reps.len() >= min_reps.max(MIN_TIMED_REPS) as usize
+        {
             break;
         }
     }
-    start.elapsed().as_secs_f64() / f64::from(reps)
+    history::median(&reps)
 }
 
 /// One timed call, no warm-up — for the population sizes where a single
@@ -1007,5 +1015,30 @@ fn main() {
             eprintln!("PERF REGRESSION: {f}");
         }
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    #[test]
+    fn one_slow_rep_does_not_move_the_median() {
+        let mut calls = 0;
+        let secs = time_reps(
+            || {
+                calls += 1;
+                if calls == 3 {
+                    std::thread::sleep(Duration::from_millis(250));
+                }
+            },
+            0.0,
+            1,
+        );
+        // Warm-up plus the MIN_TIMED_REPS floor, not the single rep asked.
+        assert_eq!(calls, 1 + MIN_TIMED_REPS);
+        // A mean over the loop would read ≥ 50 ms.
+        assert!(secs < 0.01, "median moved to {secs} s");
     }
 }

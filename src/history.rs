@@ -595,7 +595,7 @@ pub struct HistoryTrend {
 
 /// The median of a non-empty slice (mean of the middle two for even
 /// lengths).
-fn median(values: &[f64]) -> f64 {
+pub fn median(values: &[f64]) -> f64 {
     let mut sorted = values.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     let n = sorted.len();

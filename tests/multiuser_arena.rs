@@ -1,5 +1,6 @@
 //! Correctness contract of the shared-arena multi-user engine: on random
-//! populations with staggered wakes and off-block horizons, both
+//! populations with staggered wakes, off-block horizons and shared
+//! schedule groups (whose tables may be period prefixes), both
 //! resolution modes — pair-major and bucket scan — and both row layouts
 //! — bit-plane and slotwise — must reproduce a naive per-slot reference
 //! **bit-identically**, at 1, 2, and 8 worker threads, including the
@@ -13,18 +14,32 @@ use rdv_sim::algo::AgentCtx;
 use rdv_sim::engine::{
     Agent, EngineConfig, MissCause, MissedPair, PlanePolicy, ResolveMode, Simulation,
 };
-use rdv_sim::ParallelConfig;
+use rdv_sim::{workload, ParallelConfig};
 
 /// A random population description: per agent, a channel set (within a
-/// shared universe) and a wake slot.
+/// shared universe) and a wake slot. Sets are drawn from a pool of at
+/// most three, so deterministic agents on one set form share-key groups
+/// of two or more — the groups the engine compiles into shared tables.
 fn population() -> impl Strategy<Value = (u64, Vec<(Vec<u64>, u64)>)> {
     (6u64..18).prop_flat_map(|n| {
+        let set = proptest::collection::btree_set(1..=n, 1..=5)
+            .prop_map(|set| set.into_iter().collect::<Vec<u64>>());
         let agent = (
-            proptest::collection::btree_set(1..=n, 1..=5),
+            0usize..3,
             0u64..700, // staggered wakes, some beyond whole blocks
+        );
+        (
+            Just(n),
+            proptest::collection::vec(set, 1..=3),
+            proptest::collection::vec(agent, 2..9),
         )
-            .prop_map(|(set, wake)| (set.into_iter().collect::<Vec<u64>>(), wake));
-        (Just(n), proptest::collection::vec(agent, 2..9))
+            .prop_map(|(n, pool, agents)| {
+                let agents = agents
+                    .into_iter()
+                    .map(|(at, wake)| (pool[at % pool.len()].clone(), wake))
+                    .collect();
+                (n, agents)
+            })
     })
 }
 
@@ -40,7 +55,8 @@ fn build(n: u64, spec: &[(Vec<u64>, u64)]) -> Vec<Agent> {
                 faults: None,
             };
             // Mix a deterministic and a seeded-random algorithm across the
-            // population so schedules differ in period structure.
+            // population so schedules differ in period structure. Only the
+            // deterministic agents get share keys.
             let algo = if i % 3 == 2 {
                 Algorithm::Random
             } else {
@@ -48,9 +64,9 @@ fn build(n: u64, spec: &[(Vec<u64>, u64)]) -> Vec<Agent> {
             };
             Agent {
                 schedule: algo.make(n, &set, &ctx).expect("valid agent"),
+                share_key: workload::share_key(algo, n, &set),
                 set,
                 wake: *wake,
-                share_key: None,
             }
         })
         .collect()
