@@ -67,7 +67,7 @@ impl Sensing {
     /// Whether a (non-quiet) fault plan is being sensed. With one, the
     /// masks are hashed per epoch and never repeat, so the schedule has
     /// no period.
-    pub fn has_plan(&self) -> bool {
+    fn has_plan(&self) -> bool {
         self.plan.is_some()
     }
 

@@ -62,13 +62,6 @@ impl MinwiseFamily {
         self.degree
     }
 
-    /// Number of seed bits the family consumes, `O(log n · log 1/ε)` as in
-    /// Indyk's construction (we expand a 64-bit seed pseudorandomly, so the
-    /// *interface* consumes `d·log n ≤ 64` beacon bits).
-    pub fn seed_bits(&self) -> u32 {
-        64
-    }
-
     fn mix(mut z: u64) -> u64 {
         z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -66,11 +66,6 @@ impl BeaconProtocolA {
         }
     }
 
-    /// The number of beacon bits that seed each permutation.
-    pub fn window_bits(&self) -> u32 {
-        self.window
-    }
-
     /// The agent's absolute wake slot.
     pub fn wake(&self) -> u64 {
         self.wake

@@ -10,11 +10,10 @@
 //! Schedule **construction** and TTR **evaluation** are separate costs with
 //! very different shapes (construction is dominated by codeword/coloring
 //! setup, evaluation by the sweep kernels), so the helpers keep them apart:
-//! [`build`] / [`prepare_pair`] construct, [`eval_ttr`] evaluates a
-//! pre-built pair, and [`measure_ttr`] composes both for end-to-end cost.
-//! Timed bench closures should call [`eval_ttr`] on a pair prepared
-//! *outside* the measurement loop unless they are explicitly measuring
-//! construction.
+//! [`build`] / [`prepare_pair`] construct, and [`eval_ttr`] evaluates a
+//! pre-built pair. Timed bench closures should call [`eval_ttr`] on a pair
+//! prepared *outside* the measurement loop unless they are explicitly
+//! measuring construction.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,13 +59,6 @@ pub fn eval_ttr(pair: &PreparedPair, shift: u64) -> u64 {
     rdv_core::verify::async_ttr(&pair.sa, &pair.sb, shift, pair.horizon).unwrap_or(pair.horizon)
 }
 
-/// Measures one asynchronous TTR **end-to-end**: schedule construction plus
-/// evaluation. Kept for benches that deliberately track the combined cost;
-/// use [`prepare_pair`] + [`eval_ttr`] to time evaluation alone.
-pub fn measure_ttr(algo: Algorithm, n: u64, sc: &PairScenario, shift: u64) -> u64 {
-    eval_ttr(&prepare_pair(algo, n, sc), shift)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,18 +68,6 @@ mod tests {
         let sc = scenario(16, 3);
         let s = build(Algorithm::Ours, 16, &sc.a);
         assert!(sc.a.contains(s.channel_at(0).get()));
-        assert!(measure_ttr(Algorithm::Ours, 16, &sc, 7) < 10_000);
-    }
-
-    #[test]
-    fn split_build_and_eval_agree_with_composed() {
-        let sc = scenario(16, 3);
-        let pair = prepare_pair(Algorithm::Ours, 16, &sc);
-        for shift in [0u64, 7, 97] {
-            assert_eq!(
-                eval_ttr(&pair, shift),
-                measure_ttr(Algorithm::Ours, 16, &sc, shift)
-            );
-        }
+        assert!(eval_ttr(&prepare_pair(Algorithm::Ours, 16, &sc), 7) < 10_000);
     }
 }

@@ -69,17 +69,6 @@ impl CompiledSchedule {
         Some(CompiledSchedule { table })
     }
 
-    /// Builds directly from one explicit period of raw channel numbers.
-    ///
-    /// Returns `None` if `table` is empty or contains the invalid channel
-    /// number `0`.
-    pub fn from_table(table: Vec<u64>) -> Option<Self> {
-        if table.is_empty() || table.contains(&0) {
-            return None;
-        }
-        Some(CompiledSchedule { table })
-    }
-
     /// The compiled period length in slots.
     pub fn period(&self) -> u64 {
         self.table.len() as u64
@@ -258,13 +247,5 @@ mod tests {
             assert_eq!(table.channel_at(t), s.channel_at(t));
             assert_eq!(raw.channel_at(t), s.channel_at(t));
         }
-    }
-
-    #[test]
-    fn from_table_validates() {
-        assert!(CompiledSchedule::from_table(vec![]).is_none());
-        assert!(CompiledSchedule::from_table(vec![1, 0, 2]).is_none());
-        let c = CompiledSchedule::from_table(vec![5, 6]).unwrap();
-        assert_eq!(c.channel_at(3).get(), 6);
     }
 }

@@ -144,14 +144,9 @@ impl GeneralSchedule {
         (self.p, self.q)
     }
 
-    /// Slots per epoch.
-    pub fn epoch_len(&self) -> u64 {
-        self.epoch_len
-    }
-
     /// The pair of channel indices `(i, j)` active in epoch `r`, after the
     /// out-of-range replacement rule.
-    pub fn epoch_indices(&self, r: u64) -> (usize, usize) {
+    fn epoch_indices(&self, r: u64) -> (usize, usize) {
         let k = self.set.len() as u64;
         let mut i = r % self.p;
         let mut j = r % self.q;
@@ -303,8 +298,7 @@ mod tests {
                 let sb = GeneralSchedule::synchronous(n, b.clone()).unwrap();
                 let (p, _) = sa.primes();
                 let (q, _) = sb.primes();
-                let bound =
-                    (9 * (a.len() * b.len()) as u64 + 2) * sa.epoch_len().max(sb.epoch_len());
+                let bound = (9 * (a.len() * b.len()) as u64 + 2) * sa.epoch_len.max(sb.epoch_len);
                 let ttr = verify::sync_ttr(&sa, &sb, bound + 1);
                 assert!(
                     ttr.is_some(),
@@ -392,7 +386,7 @@ mod tests {
     #[test]
     fn epoch_structure_doubles_word() {
         let s = GeneralSchedule::asynchronous(32, set(&[1, 9, 17])).unwrap();
-        let e = s.epoch_len();
+        let e = s.epoch_len;
         // Within one epoch the two halves are identical (σ_r σ_r).
         for r in 0..20u64 {
             for off in 0..e / 2 {

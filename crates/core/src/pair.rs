@@ -19,7 +19,7 @@
 //! The period is `log♯ log♯ n + O(log log log n)` slots, so any two size-two
 //! agents rendezvous within `O(log log n)` slots of both being awake.
 
-use crate::channel::{Channel, ChannelSet};
+use crate::channel::Channel;
 use crate::schedule::Schedule;
 use rdv_ramsey::PosetColoring;
 use rdv_strings::cmap::CCode;
@@ -132,17 +132,6 @@ impl PairFamily {
             hi: Channel::new(hi),
             word: self.async_word(lo, hi).clone(),
         })
-    }
-
-    /// The asynchronous schedule for a size-two [`ChannelSet`].
-    ///
-    /// Returns `None` if the set does not have exactly two channels within
-    /// the universe.
-    pub fn schedule_for_set(&self, set: &ChannelSet) -> Option<PairSchedule> {
-        if set.len() != 2 {
-            return None;
-        }
-        self.schedule(set.channel(0).get(), set.channel(1).get())
     }
 
     /// Provable upper bound on the asynchronous time-to-rendezvous of any
@@ -333,19 +322,6 @@ mod tests {
         assert!(PairFamily::new(0).is_none());
         assert!(PairFamily::new(1).is_none());
         assert!(PairFamily::new(2).is_some());
-    }
-
-    #[test]
-    fn schedule_for_set_matches_schedule() {
-        let fam = PairFamily::new(16).unwrap();
-        let set = ChannelSet::new(vec![11, 3]).unwrap();
-        assert_eq!(
-            fam.schedule_for_set(&set),
-            fam.schedule(3, 11),
-            "set-based and pair-based constructors agree"
-        );
-        let triple = ChannelSet::new(vec![1, 2, 3]).unwrap();
-        assert!(fam.schedule_for_set(&triple).is_none());
     }
 
     #[test]

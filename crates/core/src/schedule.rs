@@ -182,15 +182,6 @@ impl<S: Schedule> Schedule for ShiftedSchedule<S> {
     }
 }
 
-/// Materializes one period (or `horizon` slots) of a schedule, for
-/// fingerprinting and debugging.
-pub fn sample_slots<S: Schedule + ?Sized>(s: &S, horizon: u64) -> Vec<Channel> {
-    let end = s.period_hint().unwrap_or(horizon).min(horizon);
-    let mut raw = vec![0u64; end as usize];
-    s.fill_channels(0, &mut raw);
-    raw.into_iter().map(Channel::new).collect()
-}
-
 /// A stable fingerprint of a schedule's first `horizon` slots — used by the
 /// anonymity/determinism tests (two constructions of the same set must
 /// produce identical fingerprints).
@@ -265,13 +256,5 @@ mod tests {
         let c = CyclicSchedule::new(vec![Channel::new(2), Channel::new(1)]).unwrap();
         assert_eq!(fingerprint(&a, 64), fingerprint(&b, 64));
         assert_ne!(fingerprint(&a, 64), fingerprint(&c, 64));
-    }
-
-    #[test]
-    fn sample_slots_respects_period() {
-        let s = CyclicSchedule::new(vec![Channel::new(4), Channel::new(7)]).unwrap();
-        assert_eq!(sample_slots(&s, 100).len(), 2);
-        let unbounded = ConstantSchedule::new(Channel::new(1));
-        assert_eq!(sample_slots(&unbounded, 5).len(), 1);
     }
 }

@@ -55,11 +55,6 @@ impl<S: Schedule> SymmetricWrapped<S> {
         }
     }
 
-    /// The anchor channel `c₀ = min A`.
-    pub fn anchor(&self) -> Channel {
-        self.c0
-    }
-
     /// The wrapped schedule.
     pub fn inner(&self) -> &S {
         &self.inner

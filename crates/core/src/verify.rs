@@ -232,9 +232,11 @@ where
 /// Worst-case asynchronous time-to-rendezvous over *all* distinct relative
 /// phases of two periodic schedules.
 ///
-/// Uses `a`'s period for the sweep (phases repeat modulo the period).
-/// Returns `None` if either schedule lacks a period hint or any phase fails
-/// within `max_steps`.
+/// With `b` waking `s` slots later the phase that matters is `s mod P_A`;
+/// with `a` waking later it is `s mod P_B`. Sweeping `0..max(P_A, P_B)`
+/// therefore covers every phase of both wake orders. Returns `None` if
+/// either schedule lacks a period hint or any phase fails within
+/// `max_steps`.
 ///
 /// This is the hottest sweep in the workspace; it compiles each schedule
 /// once and slides over the period tables instead of recomputing
@@ -244,41 +246,8 @@ where
     A: Schedule + ?Sized,
     B: Schedule + ?Sized,
 {
-    let pa = a.period_hint()?;
-    worst_async_ttr(a, b, 0..pa, max_steps)
-}
-
-/// First slot at which the two schedules meet **on a specific channel**,
-/// with `b` waking `shift` slots after `a` — used by the lower-bound
-/// harness's density arguments.
-pub fn async_ttr_on_channel<A, B>(
-    a: &A,
-    b: &B,
-    channel: u64,
-    shift: u64,
-    max_steps: u64,
-) -> Option<u64>
-where
-    A: Schedule + ?Sized,
-    B: Schedule + ?Sized,
-{
-    let mut bufa = [0u64; CHUNK];
-    let mut bufb = [0u64; CHUNK];
-    let mut cap = FIRST_CHUNK;
-    let mut tau = 0u64;
-    while tau < max_steps {
-        let len = (max_steps - tau).min(cap as u64) as usize;
-        a.fill_channels(shift + tau, &mut bufa[..len]);
-        b.fill_channels(tau, &mut bufb[..len]);
-        for i in 0..len {
-            if bufa[i] == channel && bufa[i] == bufb[i] {
-                return Some(tau + i as u64);
-            }
-        }
-        tau += len as u64;
-        cap = grow_chunk(cap);
-    }
-    None
+    let phases = a.period_hint()?.max(b.period_hint()?);
+    worst_async_ttr(a, b, 0..phases, max_steps)
 }
 
 /// Per-slot reference implementations of the kernels above.
@@ -336,26 +305,8 @@ pub mod naive {
         A: Schedule + ?Sized,
         B: Schedule + ?Sized,
     {
-        let pa = a.period_hint()?;
-        worst_async_ttr(a, b, 0..pa, max_steps)
-    }
-
-    /// Per-slot reference for [`super::async_ttr_on_channel`].
-    pub fn async_ttr_on_channel<A, B>(
-        a: &A,
-        b: &B,
-        channel: u64,
-        shift: u64,
-        max_steps: u64,
-    ) -> Option<u64>
-    where
-        A: Schedule + ?Sized,
-        B: Schedule + ?Sized,
-    {
-        (0..max_steps).find(|&tau| {
-            let ca = a.channel_at(shift + tau);
-            ca.get() == channel && ca == b.channel_at(tau)
-        })
+        let phases = a.period_hint()?.max(b.period_hint()?);
+        worst_async_ttr(a, b, 0..phases, max_steps)
     }
 }
 
@@ -419,6 +370,23 @@ mod tests {
     }
 
     #[test]
+    fn exhaustive_covers_the_longer_period() {
+        // P_A = 2 < P_B = 5: with `a` waking later, phases of B beyond
+        // P_A matter. The worst case over all P_A·P_B shifts is 6, at
+        // shift 4; sweeping only 0..P_A reports 5.
+        let a = cyc(&[3, 1]);
+        let b = cyc(&[3, 1, 3, 2, 2]);
+        let truth = naive::worst_async_ttr(&a, &b, 0..10, 100).unwrap();
+        assert_eq!(truth, WorstCase { shift: 4, ttr: 6 });
+        assert_eq!(worst_async_ttr_exhaustive(&a, &b, 100), Some(truth));
+        assert_eq!(naive::worst_async_ttr_exhaustive(&a, &b, 100), Some(truth));
+        assert_eq!(
+            worst_async_ttr_exhaustive(&b, &a, 100).map(|w| w.ttr),
+            Some(6)
+        );
+    }
+
+    #[test]
     fn parity_trap_documented() {
         // The cleaner version of the above: alternating schedules with an
         // odd relative shift never meet — the classic failure that the
@@ -427,15 +395,6 @@ mod tests {
         let b = cyc(&[1, 2]);
         assert_eq!(async_ttr(&a, &b, 1, 1000), None);
         assert_eq!(worst_async_ttr_exhaustive(&a, &b, 1000), None);
-    }
-
-    #[test]
-    fn on_channel_restricts_meetings() {
-        let a = cyc(&[1, 2, 1, 2]);
-        let b = cyc(&[1, 2, 2, 1]);
-        assert_eq!(async_ttr_on_channel(&a, &b, 1, 0, 10), Some(0));
-        assert_eq!(async_ttr_on_channel(&a, &b, 2, 0, 10), Some(1));
-        assert_eq!(async_ttr_on_channel(&a, &b, 3, 0, 10), None);
     }
 
     #[test]
@@ -473,10 +432,6 @@ mod tests {
             assert_eq!(
                 async_ttr(&a, &b, shift, 2_000),
                 naive::async_ttr(&a, &b, shift, 2_000)
-            );
-            assert_eq!(
-                async_ttr_on_channel(&a, &b, 9, shift, 2_000),
-                naive::async_ttr_on_channel(&a, &b, 9, shift, 2_000)
             );
         }
         assert_eq!(sync_ttr(&a, &b, 2_000), naive::sync_ttr(&a, &b, 2_000));

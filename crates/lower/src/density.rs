@@ -175,28 +175,6 @@ pub fn worst_overlap_one_pair<F: ScheduleFamily>(
     worst
 }
 
-/// Equation (7)'s expectation check: over the proof's sampling process the
-/// expected value of `k·∆(h,σ_A;T) + ℓ·∆(h,σ_B;T')` is exactly 2. This
-/// function computes the empirical mean over the deterministic enumeration
-/// (useful as a sanity check that a family cannot keep all densities high).
-pub fn mean_weighted_density<F: ScheduleFamily>(family: &F, n: u64, k: usize, t: u64) -> f64 {
-    // For every set A of a sliding-window enumeration and every h ∈ A:
-    // k·∆(h, σ_A; T) averaged — by definition of density this is exactly 1
-    // when averaged over h ∈ A for any fixed A; the enumeration mirrors
-    // the proof's symmetrization.
-    let mut total = 0.0;
-    let mut count = 0usize;
-    for lo in 1..=(n - k as u64 + 1).min(6) {
-        let a = ChannelSet::new(lo..lo + k as u64).expect("contiguous");
-        let sa = family.schedule(&a);
-        for h in a.iter() {
-            total += k as f64 * density(&sa, h.get(), t);
-            count += 1;
-        }
-    }
-    total / count as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,14 +206,6 @@ mod tests {
     fn zero_horizon_panics() {
         let s = CyclicSchedule::new(vec![Channel::new(1)]).unwrap();
         density(&s, 1, 0);
-    }
-
-    #[test]
-    fn mean_weighted_density_is_one_for_round_robin() {
-        // k·∆ averaged over h ∈ A equals 1 exactly when T is a multiple of
-        // the period.
-        let m = mean_weighted_density(&round_robin, 12, 3, 9);
-        assert!((m - 1.0).abs() < 1e-9, "mean {m}");
     }
 
     #[test]

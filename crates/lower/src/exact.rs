@@ -285,15 +285,6 @@ pub fn exact_ra_n2_cyclic(n: u64, max_t: u32, node_budget: u64) -> SearchOutcome
     search(n, max_t, true, node_budget).0
 }
 
-/// [`exact_rs_n2`] variant that also returns the witness assignment.
-pub fn exact_rs_n2_with_witness(
-    n: u64,
-    max_t: u32,
-    node_budget: u64,
-) -> (SearchOutcome, Option<Assignment>) {
-    search(n, max_t, false, node_budget)
-}
-
 fn search(
     n: u64,
     max_t: u32,
@@ -383,7 +374,7 @@ mod tests {
 
     #[test]
     fn witness_actually_satisfies_constraints() {
-        let (outcome, witness) = exact_rs_n2_with_witness(5, 5, 1 << 24);
+        let (outcome, witness) = search(5, 5, false, 1 << 24);
         let SearchOutcome::Optimal(t) = outcome else {
             panic!("no optimum found: {outcome:?}");
         };
@@ -499,7 +490,7 @@ mod tests {
 
     #[test]
     fn witness_absent_unless_optimal() {
-        let (outcome, witness) = exact_rs_n2_with_witness(6, 1, 1 << 22);
+        let (outcome, witness) = search(6, 1, false, 1 << 22);
         assert_eq!(outcome, SearchOutcome::ExceedsMax);
         assert!(witness.is_none(), "no witness without an optimum");
     }

@@ -35,7 +35,7 @@ where
 
 /// The induced Theorem 4 edge coloring: the color of edge `{a, b}` is the
 /// fingerprint of the first `t_slots` of its schedule.
-pub fn induced_color<F: PairScheduleFamily>(family: &F, a: u64, b: u64, t_slots: u64) -> u64 {
+fn induced_color<F: PairScheduleFamily>(family: &F, a: u64, b: u64, t_slots: u64) -> u64 {
     let s = family.pair_schedule(a, b);
     // Encode the prefix exactly (two channels → one bit per slot) so equal
     // colors mean equal schedule prefixes, not just equal hashes.

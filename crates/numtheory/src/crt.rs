@@ -37,20 +37,6 @@ pub fn crt_pair(a: u64, m: u64, b: u64, n: u64) -> Option<u64> {
     Some(r)
 }
 
-/// Solves a full system `r ≡ aᵢ (mod mᵢ)` for pairwise-coprime moduli.
-///
-/// Returns the unique solution modulo `∏ mᵢ`, or `None` if any pair of
-/// moduli shares a factor or the product overflows.
-pub fn crt_system(congruences: &[(u64, u64)]) -> Option<(u64, u64)> {
-    let mut r = 0u64;
-    let mut modulus = 1u64;
-    for &(a, m) in congruences {
-        r = crt_pair(r, modulus, a, m)?;
-        modulus = modulus.checked_mul(m)?;
-    }
-    Some((r, modulus))
-}
-
 /// The first epoch index `r ≥ start` with `r ≡ x (mod p)` and
 /// `r ≡ y (mod q)` — the exact quantity Theorem 3's proof bounds.
 ///
@@ -90,20 +76,6 @@ mod tests {
     fn crt_pair_rejects_common_factor() {
         assert_eq!(crt_pair(1, 6, 2, 4), None);
         assert_eq!(crt_pair(0, 0, 0, 5), None);
-    }
-
-    #[test]
-    fn crt_system_triple() {
-        // r ≡ 2 (3), r ≡ 3 (5), r ≡ 2 (7) → r = 23 (Sunzi's classic).
-        let (r, m) = crt_system(&[(2, 3), (3, 5), (2, 7)]).unwrap();
-        assert_eq!(r, 23);
-        assert_eq!(m, 105);
-    }
-
-    #[test]
-    fn crt_system_empty_and_single() {
-        assert_eq!(crt_system(&[]), Some((0, 1)));
-        assert_eq!(crt_system(&[(4, 9)]), Some((4, 9)));
     }
 
     #[test]

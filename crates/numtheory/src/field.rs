@@ -47,7 +47,7 @@ impl PrimeField {
     }
 
     /// Canonical representative of `x`.
-    pub fn reduce(&self, x: u64) -> u64 {
+    fn reduce(&self, x: u64) -> u64 {
         x % self.p
     }
 
@@ -103,11 +103,6 @@ impl Poly {
     /// The underlying field.
     pub fn field(&self) -> PrimeField {
         self.field
-    }
-
-    /// Degree bound: number of coefficients (may include trailing zeros).
-    pub fn num_coeffs(&self) -> usize {
-        self.coeffs.len()
     }
 
     /// Horner evaluation at `x`.

@@ -47,16 +47,11 @@ impl Sieve {
         Sieve { limit, composite }
     }
 
-    /// The sieve's upper limit.
-    pub fn limit(&self) -> usize {
-        self.limit
-    }
-
     /// Whether `n` is prime.
     ///
     /// # Panics
     ///
-    /// Panics if `n > self.limit()`.
+    /// Panics if `n` exceeds the sieve's limit.
     pub fn is_prime(&self, n: usize) -> bool {
         assert!(n <= self.limit, "{n} beyond sieve limit {}", self.limit);
         n >= 2 && !self.composite[n]

@@ -8,7 +8,7 @@
 //! and `(b, c)` form a directed path, `χ(a, b) ∈ X_b` while
 //! `χ(b, c) ∉ X_b` — the two colors differ, which is the 2-Ramsey property.
 
-use rdv_strings::{log_sharp, Bits};
+use rdv_strings::log_sharp;
 
 /// The 2-Ramsey edge coloring of the linear poset `L_n`.
 ///
@@ -66,12 +66,6 @@ impl PosetColoring {
         let diff = xb & !xa;
         debug_assert!(diff != 0, "X_b \\ X_a must be non-empty for a < b");
         diff.trailing_zeros()
-    }
-
-    /// The color encoded as a fixed-width bit string (width
-    /// `max(1, log♯(palette_size))`), suitable as input to the pair codes.
-    pub fn color_bits(&self, a: u64, b: u64) -> Bits {
-        Bits::encode_int(self.color(a, b) as u64, self.color_width())
     }
 
     /// The fixed width of encoded colors: `max(1, log♯ log♯ n)`.
@@ -134,16 +128,6 @@ mod tests {
                 assert_eq!((b - 1) >> c & 1, 1, "color bit set in b-1");
                 assert_eq!((a - 1) >> c & 1, 0, "color bit clear in a-1");
             }
-        }
-    }
-
-    #[test]
-    fn color_bits_width_fixed() {
-        for n in [2u64, 16, 1 << 20, 1 << 62] {
-            let chi = PosetColoring::new(n);
-            let w = chi.color_width();
-            assert_eq!(chi.color_bits(1, 2).len(), w as usize);
-            assert_eq!(chi.color_bits(1, n).len(), w as usize);
         }
     }
 

@@ -79,7 +79,7 @@ impl OrientGraph {
     /// # Panics
     ///
     /// Panics if `w` is not an endpoint of `e`.
-    pub fn direction_into(&self, e: usize, w: u32) -> i32 {
+    fn direction_into(&self, e: usize, w: u32) -> i32 {
         let (u, v) = self.edges[e];
         if v == w {
             1

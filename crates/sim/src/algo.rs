@@ -146,16 +146,6 @@ impl Algorithm {
         )
     }
 
-    /// Whether this implementation carries a *proven* asymmetric rendezvous
-    /// guarantee. True for the paper's construction (Theorem 3 / §3.2).
-    /// The three baseline reconstructions are faithful in period structure
-    /// but their paywalled proofs could not be transcribed, so their
-    /// asymmetric guarantees are empirical here (see the module docs of
-    /// `rdv-baselines`); the randomized/beacon algorithms are w.h.p. only.
-    pub fn proven_asymmetric_guarantee(self) -> bool {
-        matches!(self, Algorithm::Ours | Algorithm::OursSymmetric)
-    }
-
     /// Builds the schedule for an agent with channel `set` in universe
     /// `[n]`.
     ///

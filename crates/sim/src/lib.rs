@@ -30,7 +30,6 @@
 pub mod algo;
 pub mod engine;
 pub mod pool;
-pub mod spectrum;
 pub mod stats;
 pub mod sweep;
 pub mod workload;

@@ -490,9 +490,8 @@ where
 
 // ---------------------------------------------------------------------
 // Orchestrator hardening: panic quarantine and deterministic bounded
-// retry — the fault-tolerant layer grid pipelines
-// run on so one poisoned cell degrades the artifact instead of killing
-// the whole submission.
+// retry, so one poisoned grid cell degrades its artifact instead of
+// killing the whole submission.
 // ---------------------------------------------------------------------
 
 /// A quarantined task panic: the deterministic payload message of a task
@@ -543,38 +542,6 @@ pub fn quarantine<R>(f: impl FnOnce() -> R) -> Result<R, TaskPanic> {
     })
 }
 
-/// [`run_indexed`] with per-task panic quarantine and a **completion
-/// sink**: a panicking task yields `Err(TaskPanic)` in its slot while every
-/// other task completes, results stay in task order, and `sink(i, &r)`
-/// runs on the worker thread the moment task `i`'s quarantined result is
-/// known — before the pool joins, so a crash mid-grid loses at most the
-/// in-flight tasks. This is the seam checkpointing pipelines journal
-/// completed cells through.
-///
-/// The sink observes completions in scheduling order (non-deterministic
-/// across thread counts); consumers that need determinism key on the task
-/// index, never on arrival order. The sink itself is *not* quarantined —
-/// a sink failure (e.g. an unwritable journal) is fatal to the run, like
-/// an unwritable artifact.
-pub fn run_indexed_quarantined_sink<T, R, F, S>(
-    tasks: Vec<T>,
-    cfg: &ParallelConfig,
-    f: F,
-    sink: S,
-) -> Vec<Result<R, TaskPanic>>
-where
-    T: Send,
-    R: Send + Sync,
-    F: Fn(usize, T) -> R + Sync,
-    S: Fn(usize, &Result<R, TaskPanic>) + Sync,
-{
-    run_indexed(tasks, cfg, |i, t| {
-        let r = quarantine(|| f(i, t));
-        sink(i, &r);
-        r
-    })
-}
-
 /// Deterministic bounded retry with exponential **backoff-in-attempts**:
 /// calls `attempt(round, budget)` with a budget that doubles every round
 /// (`base_budget`, `2·base_budget`, `4·base_budget`, …) for up to
@@ -585,9 +552,10 @@ where
 /// transient failures in this workspace (e.g. a scenario sampler
 /// exhausting its draw budget) are functions of how hard the task tried,
 /// not of when it ran, so retried work stays a pure function of
-/// `(attempt, round)` and grid artifacts stay byte-identical. Note a zero
-/// `base_budget` stays zero through every doubling — the deterministic
-/// exhaustion seam the degradation tests sabotage cells with.
+/// `(attempt, round)` and grid artifacts stay byte-identical. A zero
+/// `base_budget` stays zero through every doubling, so it exhausts
+/// deterministically. The coalition sampler
+/// ([`crate::workload::coalition_pair`]) retries through it.
 pub fn retry_with_backoff<R, E>(
     rounds: u32,
     base_budget: u32,
@@ -815,42 +783,6 @@ mod tests {
         for base in [0u64, 1, 42, u64::MAX] {
             let seeds: HashSet<u64> = (0..4096).map(|i| stream_seed(base, i)).collect();
             assert_eq!(seeds.len(), 4096, "collision under base {base}");
-        }
-    }
-
-    #[test]
-    fn indexed_sink_sees_every_completion_exactly_once() {
-        use std::sync::Mutex;
-        for threads in [1usize, 4] {
-            let seen: Mutex<Vec<(usize, Result<u64, String>)>> = Mutex::new(Vec::new());
-            let out = run_indexed_quarantined_sink(
-                (0..57u64).collect(),
-                &ParallelConfig::with_threads(threads),
-                |i, t| {
-                    if i == 13 {
-                        panic!("cell 13 down");
-                    }
-                    t * 2
-                },
-                |i, r| {
-                    seen.lock()
-                        .unwrap()
-                        .push((i, r.clone().map_err(|e| e.message)));
-                },
-            );
-            let mut seen = seen.into_inner().unwrap();
-            seen.sort_by_key(|&(i, _)| i);
-            assert_eq!(seen.len(), 57, "threads = {threads}");
-            for (i, r) in &seen {
-                // The sink observed exactly the result merged into slot i —
-                // including the quarantined panic.
-                assert_eq!(
-                    r.clone().map_err(|m| TaskPanic { message: m }),
-                    out[*i],
-                    "threads = {threads}"
-                );
-            }
-            assert_eq!(out[13], Err(TaskPanic::new("cell 13 down")));
         }
     }
 }

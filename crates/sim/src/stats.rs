@@ -51,7 +51,7 @@ pub fn percentile(sorted: &[u64], q: f64) -> u64 {
 /// Least-squares slope and intercept of `y` on `x`.
 ///
 /// Returns `None` with fewer than two points or zero variance in `x`.
-pub fn linear_fit(x: &[f64], y: &[f64]) -> Option<(f64, f64)> {
+fn linear_fit(x: &[f64], y: &[f64]) -> Option<(f64, f64)> {
     if x.len() != y.len() || x.len() < 2 {
         return None;
     }

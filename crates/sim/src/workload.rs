@@ -177,11 +177,9 @@ pub fn coalition_pair_with_budget(
         // (base, 2·base, 4·base, …), so retries explore new draws and
         // the whole procedure stays a pure function of `(seed, round)`.
         // Each draw succeeds with probability > 1/2, so even the base
-        // budget fails with probability < 2^-64 per needed channel; the
-        // backoff rounds exist for the grid pipelines' transient-retry
-        // contract, and a zero override stays zero through every
-        // doubling — the deterministic exhaustion seam the degradation
-        // tests sabotage cells with.
+        // budget fails with probability < 2^-64 per needed channel; a
+        // zero override stays zero through every doubling and exhausts
+        // deterministically.
         let base = budget_override.unwrap_or(64 + 64 * (2 * private_per_side) as u32);
         let mut total_attempts = 0u32;
         let drawn =

@@ -103,31 +103,10 @@ pub fn rhombus_same(r: &Bits, s: &Bits) -> bool {
 /// # Panics
 ///
 /// Panics if the strings have different lengths or are empty.
-pub fn rhombus(kind: DiamondKind, r: &Bits, s: &Bits) -> bool {
+fn rhombus(kind: DiamondKind, r: &Bits, s: &Bits) -> bool {
     assert_eq!(r.len(), s.len(), "◇ requires equal-length strings");
     assert!(!r.is_empty(), "◇ is undefined on empty strings");
     (0..s.len()).all(|d| diamond(kind, r, &s.cyclic_shift(d)))
-}
-
-/// The first aligned index `t` at which the tuple required by `kind` and
-/// `want_first_bit` occurs, if any.
-///
-/// For `kind = Path` and `want_first_bit = true`, looks for `(1,0)`; with
-/// `false`, for `(0,1)`. For `kind = Same`, `want_first_bit` selects `(1,1)`
-/// or `(0,0)`. This is the *rendezvous slot locator* used to compute exact
-/// times-to-rendezvous in the verification engine.
-pub fn first_tuple_index(
-    r: &Bits,
-    s: &Bits,
-    kind: DiamondKind,
-    want_first_bit: bool,
-) -> Option<usize> {
-    assert_eq!(r.len(), s.len(), "aligned search requires equal lengths");
-    let want = match kind {
-        DiamondKind::Same => (want_first_bit, want_first_bit),
-        DiamondKind::Path => (want_first_bit, !want_first_bit),
-    };
-    r.iter().zip(s.iter()).position(|pair| pair == want)
 }
 
 #[cfg(test)]
@@ -197,20 +176,6 @@ mod tests {
         let all_pairs =
             (0..6).all(|i| (0..6).all(|j| diamond_path(&r.cyclic_shift(i), &s.cyclic_shift(j))));
         assert_eq!(all_pairs, rhombus_path(&r, &s));
-    }
-
-    #[test]
-    fn first_tuple_index_finds_earliest() {
-        let r = bits("0011");
-        let s = bits("0110");
-        assert_eq!(first_tuple_index(&r, &s, DiamondKind::Same, false), Some(0));
-        assert_eq!(first_tuple_index(&r, &s, DiamondKind::Same, true), Some(2));
-        assert_eq!(first_tuple_index(&r, &s, DiamondKind::Path, false), Some(1));
-        assert_eq!(first_tuple_index(&r, &s, DiamondKind::Path, true), Some(3));
-        assert_eq!(
-            first_tuple_index(&bits("00"), &bits("00"), DiamondKind::Path, true),
-            None
-        );
     }
 
     #[test]

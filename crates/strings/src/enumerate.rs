@@ -1,11 +1,10 @@
-//! Enumeration of the string classes of Section 3, with closed-form
-//! cardinalities as cross-checks.
+//! Enumeration of the string classes of Section 3.
 //!
-//! These enumerators power exhaustive tests elsewhere in the workspace and
-//! pin the combinatorial predicates to textbook sequences: balanced strings
-//! of length `2m` are counted by `C(2m, m)`, Catalan strings by the Catalan
-//! numbers `C_m`, and strictly Catalan strings of length `2m` by `C_{m−1}`
-//! (strip the forced `1…0` bracket).
+//! These enumerators power exhaustive tests elsewhere in the workspace, and
+//! their own tests pin the combinatorial predicates to textbook sequences:
+//! balanced strings of length `2m` are counted by `C(2m, m)`, Catalan
+//! strings by the Catalan numbers `C_m`, and strictly Catalan strings of
+//! length `2m` by `C_{m−1}` (strip the forced `1…0` bracket).
 
 use crate::walk::Walk;
 use crate::Bits;
@@ -46,63 +45,21 @@ pub fn strictly_catalan_strings(len: usize) -> Vec<Bits> {
         .collect()
 }
 
-/// The `m`-th Catalan number `C_m = C(2m, m) / (m + 1)`.
-///
-/// # Panics
-///
-/// Panics if the value overflows `u64` (`m > 33`).
-pub fn catalan_number(m: u64) -> u64 {
-    let mut c: u64 = 1;
-    for i in 0..m {
-        // C_{i+1} = C_i · 2(2i+1)/(i+2), kept exact by multiplying first.
-        c = c
-            .checked_mul(2 * (2 * i + 1))
-            .expect("Catalan number overflow")
-            / (i + 2);
-    }
-    c
-}
-
-/// The central binomial coefficient `C(2m, m)`.
-///
-/// # Panics
-///
-/// Panics on overflow (`m > 30`).
-pub fn central_binomial(m: u64) -> u64 {
-    let mut c: u64 = 1;
-    for i in 0..m {
-        c = c.checked_mul(2 * m - i).expect("binomial overflow") / (i + 1);
-    }
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn catalan_numbers_match_oeis() {
-        // OEIS A000108.
-        let expected = [1u64, 1, 2, 5, 14, 42, 132, 429, 1430, 4862];
-        for (m, &want) in expected.iter().enumerate() {
-            assert_eq!(catalan_number(m as u64), want, "C_{m}");
-        }
-    }
-
-    #[test]
-    fn central_binomials_match() {
-        let expected = [1u64, 2, 6, 20, 70, 252, 924];
-        for (m, &want) in expected.iter().enumerate() {
-            assert_eq!(central_binomial(m as u64), want, "C(2·{m},{m})");
-        }
-    }
+    /// OEIS A000984: the central binomial coefficients `C(2m, m)`.
+    const CENTRAL_BINOMIALS: [u64; 7] = [1, 2, 6, 20, 70, 252, 924];
+    /// OEIS A000108: the Catalan numbers `C_m`.
+    const CATALAN_NUMBERS: [u64; 7] = [1, 1, 2, 5, 14, 42, 132];
 
     #[test]
     fn balanced_counts_are_central_binomials() {
-        for m in 0..=6usize {
+        for (m, &want) in CENTRAL_BINOMIALS.iter().enumerate() {
             assert_eq!(
                 balanced_strings(2 * m).len() as u64,
-                central_binomial(m as u64),
+                want,
                 "balanced strings of length {}",
                 2 * m
             );
@@ -111,10 +68,10 @@ mod tests {
 
     #[test]
     fn catalan_counts_are_catalan_numbers() {
-        for m in 0..=6usize {
+        for (m, &want) in CATALAN_NUMBERS.iter().enumerate() {
             assert_eq!(
                 catalan_strings(2 * m).len() as u64,
-                catalan_number(m as u64),
+                want,
                 "Catalan strings of length {}",
                 2 * m
             );
@@ -127,7 +84,7 @@ mod tests {
         for m in 1..=6usize {
             assert_eq!(
                 strictly_catalan_strings(2 * m).len() as u64,
-                catalan_number(m as u64 - 1),
+                CATALAN_NUMBERS[m - 1],
                 "strictly Catalan strings of length {}",
                 2 * m
             );

@@ -131,11 +131,6 @@ impl KnuthCode {
     }
 }
 
-/// Convenience: encode `x` with a [`KnuthCode`] sized for it.
-pub fn knuth_encode(x: &Bits) -> Bits {
-    KnuthCode::new(x.len()).encode(x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,12 +226,6 @@ mod tests {
             assert_eq!(k.len(), code.output_len());
             assert_eq!(code.decode(&k).as_ref(), Some(&x));
         }
-    }
-
-    #[test]
-    fn free_function_matches_code() {
-        let x: Bits = "100110".parse().unwrap();
-        assert_eq!(knuth_encode(&x), KnuthCode::new(6).encode(&x));
     }
 }
 

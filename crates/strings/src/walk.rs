@@ -108,7 +108,7 @@ impl Walk {
     /// # Panics
     ///
     /// Panics on an empty string.
-    pub fn min_value(&self) -> i64 {
+    fn min_value(&self) -> i64 {
         *self.heights[..self.len().max(1)]
             .iter()
             .min()
@@ -145,16 +145,6 @@ impl Walk {
             .position(|&h| h == m)
             .expect("maximum exists")
     }
-}
-
-/// Whether the string is t-maximal for the given `t` (cyclic convention).
-pub fn is_t_maximal(z: &Bits, t: usize) -> bool {
-    !z.is_empty() && Walk::new(z).maximal_count() == t
-}
-
-/// Whether the string is t-minimal for the given `t` (cyclic convention).
-pub fn is_t_minimal(z: &Bits, t: usize) -> bool {
-    !z.is_empty() && Walk::new(z).minimal_count() == t
 }
 
 /// The smallest rotation `c` such that `S^c z` is Catalan.

@@ -949,7 +949,7 @@ fn main() {
         // Atomic commit: a crash mid-write must never leave a partial
         // BENCH_*.json for CI's bit-for-bit diff to trip over.
         let bytes = serde_json::to_string_pretty(&suite.report) + "\n";
-        blind_rendezvous::checkpoint::commit_bytes(std::path::Path::new(&path), bytes.as_bytes())
+        blind_rendezvous::report::commit_bytes(std::path::Path::new(&path), bytes.as_bytes())
             .unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("wrote {path}");
     }

@@ -17,9 +17,9 @@
 //!                      the named fault profile ('light' or 'heavy'),
 //!                      sweeping outage × churn axes on the quarantined
 //!                      orchestrator; writes REPRO_table1_faults.{json,md}.
-//!                      With --sabotage, two cells are deliberately failed
-//!                      (one panic, one sampler exhaustion) to exercise the
-//!                      graceful-degradation contract end to end
+//!                      With --sabotage, one cell deliberately panics to
+//!                      exercise the graceful-degradation contract end to
+//!                      end
 //!   lower              the Section 4 lower bounds on the same grid: the
 //!                      covering/density sandwich invariant per cell, exact
 //!                      R_s(n,2) optima, pigeonhole certificates, density
@@ -65,20 +65,9 @@
 //!                      ledger is rewritten without them through the
 //!                      atomic-commit path (exit 0)
 //!
-//! crash safety (see the `blind_rendezvous::checkpoint` module docs):
-//!   <pipeline> --checkpoint FILE
-//!                      journal every completed grid cell to FILE; if a
-//!                      compatible journal is already there (same
-//!                      pipeline/tier/commit/config fingerprint), resume
-//!                      it — replay its cells and run only the missing
-//!                      ones. A stale or torn journal starts fresh, so
-//!                      evicted cron runs self-heal
-//!   <pipeline> --resume FILE
-//!                      strict resume: like --checkpoint, but a missing,
-//!                      headerless, or stale journal is an error (exit 4)
-//!                      instead of a fresh start
-//!                      Either way the resumed artifact is byte-identical
-//!                      to an uninterrupted run, failed cells included
+//! A crashed or interrupted run keeps no resume state: rerun it. Every
+//! artifact is committed atomically (tmp + fsync + rename), so a crash
+//! leaves the previous complete file, never a partial one.
 //!
 //! tiers:
 //!   (default)      full paper-scale grids
@@ -94,17 +83,13 @@
 //!      value that is missing or unparsable, --smoke with --quick,
 //!      --faults or --sabotage with any command but table1, --sabotage
 //!      without --faults
-//!   3  degraded partial artifact — some grid cells failed (panic or
-//!      sampling exhaustion); the artifact's failed_cells section lists
-//!      them. Takes precedence over 1.
-//!   4  checkpoint-resume rejection — `--resume` named a journal that is
-//!      missing, headerless, or stale (written by a different
-//!      pipeline/tier/commit/config), or the journal file is unreadable
+//!   3  degraded partial artifact — some grid cells panicked; the
+//!      artifact's failed_cells section lists them. Takes precedence
+//!      over 1.
 //! ```
 //!
 //! The paper's Figures 1–3 print from `cargo run --example figures`.
 
-use blind_rendezvous::checkpoint::{self, Journal};
 use blind_rendezvous::cli;
 use blind_rendezvous::history::{self, HostFingerprint, TrendOptions};
 use blind_rendezvous::pipelines::{self, faults::Sabotage};
@@ -130,8 +115,6 @@ fn main() {
             "--window",
             "--max-regression-pct",
             "--out",
-            "--checkpoint",
-            "--resume",
         ],
         &[
             "--smoke",
@@ -164,100 +147,34 @@ fn main() {
         })
     });
     let sabotage = if args.has("--sabotage") {
-        // Fixed cell indices so the degraded artifact — and the CI
+        // A fixed cell index so the degraded artifact — and the CI
         // exit-code check against it — is deterministic.
         Sabotage {
             poison_cell: Some(1),
-            exhaust_cell: Some(2),
         }
     } else {
         Sabotage::NONE
     };
     let history_path = args.value("--history").map(PathBuf::from);
-    let checkpoint_path = args.value("--checkpoint").map(PathBuf::from);
-    let resume_path = args.value("--resume").map(PathBuf::from);
-    if checkpoint_path.is_some() && resume_path.is_some() {
-        usage_error("--checkpoint and --resume are mutually exclusive");
-    }
-    if (checkpoint_path.is_some() || resume_path.is_some())
-        && !matches!(cmd, "table1" | "lower" | "sdp")
-    {
-        usage_error("--checkpoint/--resume only apply to the table1, lower, and sdp pipelines");
-    }
-    // The journal for this run, under the given fingerprint:
-    // `--checkpoint` opens leniently (resume a compatible journal, start
-    // fresh otherwise), `--resume` strictly (a journal it cannot resume
-    // exits 4). Corrupt journal lines are reported and re-run, not fatal.
-    let open_journal = |fp: &checkpoint::Fingerprint| -> Option<Journal> {
-        let (path, strict) = match (&checkpoint_path, &resume_path) {
-            (Some(p), None) => (p, false),
-            (None, Some(p)) => (p, true),
-            _ => return None,
-        };
-        let opened = if strict {
-            Journal::resume(path, fp)
-        } else {
-            Journal::open(path, fp)
-        };
-        let journal = opened.unwrap_or_else(|e| {
-            eprintln!("checkpoint: {e}");
-            std::process::exit(4);
-        });
-        for s in &journal.skipped {
-            eprintln!(
-                "checkpoint: skipped corrupt journal line {} of {}: {}",
-                s.line,
-                journal.path().display(),
-                s.error
-            );
-        }
-        println!(
-            "checkpoint: journaling to {} ({} cells replayed)",
-            journal.path().display(),
-            journal.replayed().len()
-        );
-        Some(journal)
-    };
     let ctx = Ctx {
         out_dir: PathBuf::from(args.value("--out-dir").unwrap_or(".")),
         history: history_path.clone(),
     };
     match cmd {
         "table1" => match faults {
-            Some(profile) => {
-                let journal =
-                    open_journal(&pipelines::faults::fingerprint(tier, profile, sabotage));
-                run_pipeline(
-                    &ctx,
-                    pipelines::faults::run_with(tier, 0, profile, sabotage, journal.as_ref()),
-                    pipelines::faults::STEM,
-                );
-            }
-            None => {
-                let journal = open_journal(&pipelines::table1::fingerprint(tier));
-                run_pipeline(
-                    &ctx,
-                    pipelines::table1::run_with(tier, 0, journal.as_ref()),
-                    pipelines::table1::STEM,
-                );
-            }
+            Some(profile) => run_pipeline(
+                &ctx,
+                pipelines::faults::run(tier, 0, profile, sabotage),
+                pipelines::faults::STEM,
+            ),
+            None => run_pipeline(
+                &ctx,
+                pipelines::table1::run(tier, 0),
+                pipelines::table1::STEM,
+            ),
         },
-        "lower" => {
-            let journal = open_journal(&pipelines::lower::fingerprint(tier));
-            run_pipeline(
-                &ctx,
-                pipelines::lower::run_with(tier, 0, journal.as_ref()),
-                pipelines::lower::STEM,
-            );
-        }
-        "sdp" => {
-            let journal = open_journal(&pipelines::sdp::fingerprint(tier));
-            run_pipeline(
-                &ctx,
-                pipelines::sdp::run_with(tier, 0, journal.as_ref()),
-                pipelines::sdp::STEM,
-            );
-        }
+        "lower" => run_pipeline(&ctx, pipelines::lower::run(tier, 0), pipelines::lower::STEM),
+        "sdp" => run_pipeline(&ctx, pipelines::sdp::run(tier, 0), pipelines::sdp::STEM),
         "trend" => {
             let Some(ledger) = &history_path else {
                 usage_error(
@@ -373,8 +290,8 @@ fn run_pipeline(ctx: &Ctx, out: PipelineOutput, stem: &str) {
     if !out.failed_cells.is_empty() {
         for cell in &out.failed_cells {
             eprintln!(
-                "FAILED CELL: {} ({}; retries={}, seed={:#018x})",
-                cell.id, cell.cause, cell.retries, cell.seed
+                "FAILED CELL: {} ({}; seed={:#018x})",
+                cell.id, cell.cause, cell.seed
             );
         }
         eprintln!("partial artifact: {} cells failed", out.failed_cells.len());
@@ -481,7 +398,7 @@ fn dashboard(ledger_path: &std::path::Path, out_path: &std::path::Path) {
     if let Some(dir) = out_path.parent().filter(|d| !d.as_os_str().is_empty()) {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("creating {}: {e}", dir.display()));
     }
-    checkpoint::commit_bytes(out_path, md.as_bytes())
+    report::commit_bytes(out_path, md.as_bytes())
         .unwrap_or_else(|e| panic!("writing {}: {e}", out_path.display()));
     println!(
         "wrote {} ({} generations, {} skipped lines)",

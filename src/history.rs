@@ -296,7 +296,7 @@ pub fn rewrite(path: &Path, entries: &[LedgerEntry]) -> std::io::Result<()> {
         text.push_str(&serde_json::to_string(&entry.to_json()));
         text.push('\n');
     }
-    crate::checkpoint::commit_bytes(path, text.as_bytes())
+    crate::report::commit_bytes(path, text.as_bytes())
 }
 
 /// Reads a ledger file: every parseable line becomes an entry, every

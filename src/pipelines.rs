@@ -18,7 +18,6 @@
 //! each one at 1 and 8 threads and asserts byte-identical JSON, the
 //! `cargo test` twin of CI's artifact diff.
 
-use crate::checkpoint::{self, CellRecord, Journal};
 use crate::report::{self, Artifact, PipelineOutput, Tier};
 use rdv_core::channel::ChannelSet;
 use rdv_core::general::GeneralSchedule;
@@ -127,29 +126,6 @@ fn header(title: &str) {
     println!();
 }
 
-/// The replayed artifact row for `id`, when a checkpoint journal carries
-/// one. Because cells are pure functions of their path-derived seeds, a
-/// replayed row is byte-identical to what re-running the cell would
-/// produce — which is the resume invariant the whole layer rests on.
-/// (`Failed` records are only consulted by the faults pipeline, which
-/// replays them separately.)
-fn replay_row(ckpt: Option<&Journal>, id: &str) -> Option<Value> {
-    match ckpt?.lookup(id)? {
-        CellRecord::Row { row, .. } => Some(row.clone()),
-        CellRecord::Failed(_) => None,
-    }
-}
-
-/// Journals one freshly computed artifact row, when a journal is attached.
-fn journal_row(ckpt: Option<&Journal>, id: &str, row: &Value) {
-    if let Some(journal) = ckpt {
-        journal.record(&CellRecord::Row {
-            id: id.to_string(),
-            row: row.clone(),
-        });
-    }
-}
-
 /// The `table1` measurement grid as task-tree parents, in artifact row
 /// order (algorithm → scenario kind → n → timing) — one [`SweepCell`] per
 /// artifact row. Shared by [`table1::run`] and the `BENCH_tree.json`
@@ -232,19 +208,11 @@ pub mod table1 {
         Value::Object(m)
     }
 
-    /// The checkpoint-journal identity of a `table1` run: the grid is
-    /// fully determined by the tier and the commit, so the config slot is
-    /// empty.
-    pub fn fingerprint(tier: Tier) -> checkpoint::Fingerprint {
-        checkpoint::Fingerprint::new(STEM, tier, "")
-    }
-
     /// Theorem 1: the pair-schedule period is `O(log log n)`. For each n,
     /// the worst asynchronous TTR between the pairs `{1,2}` and `{2,3}`
     /// (the 2-path the Ramsey coloring exists for) over every relative
-    /// shift, gated against the family's one-period bound. Recomputed on
-    /// every run, never journaled. Adds the `pair_period` section and
-    /// returns its markdown table rows.
+    /// shift, gated against the family's one-period bound. Adds the
+    /// `pair_period` section and returns its markdown table rows.
     fn pair_period_section(artifact: &mut Artifact) -> String {
         let ns: &[u64] = match artifact.tier() {
             Tier::Smoke | Tier::Quick => &[4, 1 << 8, 1 << 16],
@@ -293,48 +261,21 @@ pub mod table1 {
     /// Runs the pipeline at `tier` on `threads` workers (0 = auto) and
     /// returns the artifact pair; the caller writes and gates it.
     pub fn run(tier: Tier, threads: usize) -> PipelineOutput {
-        run_with(tier, threads, None)
-    }
-
-    /// [`run`], with an optional checkpoint journal: cells the journal
-    /// replays are spliced back by row id without re-running, freshly
-    /// computed rows are journaled as they are built, and the resulting
-    /// artifact is byte-identical to an uninterrupted run either way.
-    pub fn run_with(tier: Tier, threads: usize, ckpt: Option<&Journal>) -> PipelineOutput {
         header(&format!(
             "Table 1 pipeline — 8 algorithms × sync/async × asym/sym (tier: {})",
             tier.name()
         ));
         let (ns, shifts, seeds) = grid_dimensions(tier);
         let k = GRID_K;
-        // Which cells the journal already carries, in grid (artifact row)
-        // order — only the missing ones are submitted to the pool.
-        let cells = table1_cells(tier, threads);
-        let mut replayed: Vec<Option<Value>> = Vec::with_capacity(cells.len());
-        for algo in PIPELINE_ALGOS {
-            for kind in ["asymmetric", "symmetric"] {
-                for &n in ns {
-                    for timing in ["sync", "async"] {
-                        let id = report::cell_id(&algo.to_string(), timing, kind, n);
-                        replayed.push(replay_row(ckpt, &id));
-                    }
-                }
-            }
-        }
-        // The remaining grid is ONE task-tree submission: cells are
-        // parents, their (shift × seed) chunks are children, and the
-        // chunks of all cells steal from one another on the shared pool.
-        let to_run: Vec<SweepCell> = cells
-            .into_iter()
-            .zip(&replayed)
-            .filter_map(|(cell, replay)| replay.is_none().then_some(cell))
-            .collect();
-        let mut sweeps = sweep_pair_grid(to_run, &ParallelConfig { threads }).into_iter();
+        // The grid is ONE task-tree submission: cells are parents, their
+        // (shift × seed) chunks are children, and the chunks of all cells
+        // steal from one another on the shared pool.
+        let mut sweeps =
+            sweep_pair_grid(table1_cells(tier, threads), &ParallelConfig { threads }).into_iter();
         let mut artifact = Artifact::new("table1", tier);
         let mut rows = Vec::new();
         let mut curves = Vec::new();
         let mut md_rows = String::new();
-        let mut pos = 0usize;
         println!(
             "{:<16}{:<7}{:<11}{:>6}{:>12}{:>12}{:>12}  ok",
             "algorithm", "timing", "scenario", "n", "maxTTR", "bound", "ratio"
@@ -349,39 +290,20 @@ pub mod table1 {
                     let scenario = grid_scenario(kind, n, k);
                     let (bound, bound_kind, gated) = cell_bound(algo, n, &scenario);
                     for timing in ["sync", "async"] {
-                        let row = match replayed[pos].take() {
-                            Some(row) => row,
-                            None => {
-                                let sweep = sweeps
-                                    .next()
-                                    .expect("cell list and consumption loop are aligned")
-                                    .unwrap_or_else(|e| {
-                                        panic!("pipeline cell {algo}/{timing}/{kind}/n={n}: {e}")
-                                    });
-                                // The builder (table1_cells) and this
-                                // consumption nest must walk the grid in
-                                // lock-step; catch a mispairing at the
-                                // cell, not at the artifact diff.
-                                assert_eq!(
-                                    (sweep.algorithm, sweep.n),
-                                    (algo, n),
-                                    "grid misaligned"
-                                );
-                                let ok = sweep.failures == 0 && sweep.summary.max <= bound;
-                                let row =
-                                    row_json(&sweep, timing, kind, bound, bound_kind, gated, ok);
-                                let id = report::cell_id(&algo.to_string(), timing, kind, n);
-                                journal_row(ckpt, &id, &row);
-                                row
-                            }
-                        };
-                        pos += 1;
-                        // Everything below derives from the row JSON alone,
-                        // so replayed and fresh cells walk one code path.
-                        let get = |key: &str| row.get(key).and_then(Value::as_u64).unwrap_or(0);
+                        let sweep = sweeps
+                            .next()
+                            .expect("cell list and consumption loop are aligned")
+                            .unwrap_or_else(|e| {
+                                panic!("pipeline cell {algo}/{timing}/{kind}/n={n}: {e}")
+                            });
+                        // The builder (table1_cells) and this consumption
+                        // nest must walk the grid in lock-step; catch a
+                        // mispairing at the cell, not at the artifact diff.
+                        assert_eq!((sweep.algorithm, sweep.n), (algo, n), "grid misaligned");
                         let (measured, failures, count) =
-                            (get("measured"), get("failures"), get("count"));
-                        let ok = row.get("bound_ok") == Some(&Value::Bool(true));
+                            (sweep.summary.max, sweep.failures, sweep.summary.count);
+                        let ok = failures == 0 && measured <= bound;
+                        let row = row_json(&sweep, timing, kind, bound, bound_kind, gated, ok);
                         if gated && !ok {
                             artifact.violation(format!(
                                 "{algo} ({timing}, {kind}, n={n}): max TTR {measured} vs bound \
@@ -494,32 +416,19 @@ pub mod lower {
         }
     }
 
-    /// The checkpoint-journal identity of a `lower` run (see
-    /// [`super::table1::fingerprint`]).
-    pub fn fingerprint(tier: Tier) -> checkpoint::Fingerprint {
-        checkpoint::Fingerprint::new(STEM, tier, "")
-    }
-
     /// The measurement grid: one lower-bound cell per `table1` cell, the
     /// whole grid one task-tree submission (cells are parents, shift
-    /// chunks are children, stealing crosses cells). Cells a checkpoint
-    /// journal replays are spliced back by row id without re-running; the
-    /// (deterministic, recomputed) non-grid sections are never journaled.
-    fn grid_cells(artifact: &mut Artifact, threads: usize, ckpt: Option<&Journal>) -> Vec<Value> {
+    /// chunks are children, stealing crosses cells).
+    fn grid_cells(artifact: &mut Artifact, threads: usize) -> Vec<Value> {
         let (ns, _, _) = grid_dimensions(artifact.tier());
         let (max_exhaustive, sampled) = shift_dimensions(artifact.tier());
         let k = GRID_K;
         let mut cells = Vec::new();
-        let mut replayed = Vec::new();
         for algo in PIPELINE_ALGOS {
             for kind in ["asymmetric", "symmetric"] {
                 for &n in ns {
                     let scenario = grid_scenario(kind, n, k);
                     for timing in ["sync", "async"] {
-                        replayed.push(replay_row(
-                            ckpt,
-                            &report::cell_id(&algo.to_string(), timing, kind, n),
-                        ));
                         cells.push(LowerCell {
                             algorithm: algo,
                             n,
@@ -536,14 +445,8 @@ pub mod lower {
                 }
             }
         }
-        let to_run: Vec<LowerCell> = cells
-            .into_iter()
-            .zip(&replayed)
-            .filter_map(|(cell, replay)| replay.is_none().then_some(cell))
-            .collect();
-        let mut swept = sweep_lower_grid(to_run, &ParallelConfig { threads }).into_iter();
+        let mut swept = sweep_lower_grid(cells, &ParallelConfig { threads }).into_iter();
         let mut rows = Vec::new();
-        let mut pos = 0usize;
         println!(
             "{:<16}{:<7}{:<11}{:>6}{:>10}{:>12}{:>12}  sandwich",
             "algorithm", "timing", "scenario", "n", "lower", "measured", "upper"
@@ -554,47 +457,17 @@ pub mod lower {
                     let scenario = grid_scenario(kind, n, k);
                     let (upper, upper_kind, gated) = cell_bound(algo, n, &scenario);
                     for timing in ["sync", "async"] {
-                        let row = match replayed[pos].take() {
-                            Some(row) => row,
-                            None => {
-                                let cell = swept
-                                    .next()
-                                    .expect("cell list and consumption loop are aligned")
-                                    .unwrap_or_else(|e| {
-                                        panic!("lower cell {algo}/{timing}/{kind}/n={n}: {e}")
-                                    });
-                                // Builder/consumer lock-step guard, as in
-                                // table1.
-                                assert_eq!((cell.algorithm, cell.n), (algo, n), "grid misaligned");
-                                let ok = cell.lower_slice_ok()
-                                    && (!gated
-                                        || (cell.failures == 0 && cell.witness_ttr <= upper));
-                                let Value::Object(mut m) = cell.to_json() else {
-                                    unreachable!("LowerBoundSweep::to_json returns an object");
-                                };
-                                let id = report::cell_id(&algo.to_string(), timing, kind, n);
-                                m.insert("id".to_string(), Value::from(id.clone()));
-                                m.insert("timing".to_string(), Value::from(timing));
-                                m.insert("scenario".to_string(), Value::from(kind));
-                                m.insert("bound".to_string(), Value::from(upper));
-                                m.insert("bound_kind".to_string(), Value::from(upper_kind));
-                                m.insert("gated".to_string(), Value::from(gated));
-                                m.insert("sandwich_ok".to_string(), Value::from(ok));
-                                let row = Value::Object(m);
-                                journal_row(ckpt, &id, &row);
-                                row
-                            }
-                        };
-                        pos += 1;
-                        // Sandwich checks re-derived from the row JSON so
-                        // replayed and fresh cells walk one code path
-                        // (`lower_slice_ok` is a pure function of these
-                        // three fields).
-                        let get = |key: &str| row.get(key).and_then(Value::as_u64).unwrap_or(0);
+                        let cell = swept
+                            .next()
+                            .expect("cell list and consumption loop are aligned")
+                            .unwrap_or_else(|e| {
+                                panic!("lower cell {algo}/{timing}/{kind}/n={n}: {e}")
+                            });
+                        // Builder/consumer lock-step guard, as in table1.
+                        assert_eq!((cell.algorithm, cell.n), (algo, n), "grid misaligned");
                         let (lower, measured, failures) =
-                            (get("lower"), get("measured"), get("failures"));
-                        let exhaustive = row.get("exhaustive") == Some(&Value::Bool(true));
-                        let lower_ok = !exhaustive || failures > 0 || lower <= measured;
+                            (cell.certified_bound, cell.witness_ttr, cell.failures);
+                        let lower_ok = cell.lower_slice_ok();
                         let upper_ok = failures == 0 && measured <= upper;
                         let ok = lower_ok && (!gated || upper_ok);
                         if !lower_ok {
@@ -620,7 +493,20 @@ pub mod lower {
                             upper,
                             if ok { "yes" } else { "NO" }
                         );
-                        rows.push(row);
+                        let Value::Object(mut m) = cell.to_json() else {
+                            unreachable!("LowerBoundSweep::to_json returns an object");
+                        };
+                        m.insert(
+                            "id".to_string(),
+                            Value::from(report::cell_id(&algo.to_string(), timing, kind, n)),
+                        );
+                        m.insert("timing".to_string(), Value::from(timing));
+                        m.insert("scenario".to_string(), Value::from(kind));
+                        m.insert("bound".to_string(), Value::from(upper));
+                        m.insert("bound_kind".to_string(), Value::from(upper_kind));
+                        m.insert("gated".to_string(), Value::from(gated));
+                        m.insert("sandwich_ok".to_string(), Value::from(ok));
+                        rows.push(Value::Object(m));
                     }
                 }
             }
@@ -882,12 +768,6 @@ pub mod lower {
     /// Runs the pipeline at `tier` on `threads` workers (0 = auto) and
     /// returns the artifact pair; the caller writes and gates it.
     pub fn run(tier: Tier, threads: usize) -> PipelineOutput {
-        run_with(tier, threads, None)
-    }
-
-    /// [`run`], with an optional checkpoint journal (grid cells only —
-    /// see [`super::table1::run_with`] for the replay semantics).
-    pub fn run_with(tier: Tier, threads: usize, ckpt: Option<&Journal>) -> PipelineOutput {
         header(&format!(
             "lower-bound pipeline — sandwich invariant over the table1 grid (tier: {})",
             tier.name()
@@ -907,7 +787,7 @@ pub mod lower {
                 ("k", Value::from(GRID_K)),
             ]),
         );
-        let cells = grid_cells(&mut artifact, threads, ckpt);
+        let cells = grid_cells(&mut artifact, threads);
         let exact = exact_section(&mut artifact);
         let pigeonhole = pigeonhole_section(&mut artifact);
         let density = density_section(&mut artifact);
@@ -1015,21 +895,9 @@ pub mod sdp {
         out
     }
 
-    /// The checkpoint-journal identity of an `sdp` run (see
-    /// [`super::table1::fingerprint`]).
-    pub fn fingerprint(tier: Tier) -> checkpoint::Fingerprint {
-        checkpoint::Fingerprint::new(STEM, tier, "")
-    }
-
     /// Runs the pipeline at `tier` on `threads` workers (0 = auto) and
     /// returns the artifact pair; the caller writes and gates it.
     pub fn run(tier: Tier, threads: usize) -> PipelineOutput {
-        run_with(tier, threads, None)
-    }
-
-    /// [`run`], with an optional checkpoint journal (see
-    /// [`super::table1::run_with`] for the replay semantics).
-    pub fn run_with(tier: Tier, threads: usize, ckpt: Option<&Journal>) -> PipelineOutput {
         header(&format!(
             "SDP pipeline — one-round 0.439-approximation vs exact optimum (tier: {})",
             tier.name()
@@ -1047,18 +915,10 @@ pub mod sdp {
                 ),
             ]),
         );
-        let mut replayed: Vec<Option<Value>> = instances
-            .iter()
-            .map(|(name, _)| replay_row(ckpt, &format!("sdp/{name}")))
-            .collect();
-        // One task per missing instance on the orchestrator; results merge
-        // back in instance order, so the artifact is thread-count invariant.
+        // One task per instance on the orchestrator; results merge back in
+        // instance order, so the artifact is thread-count invariant.
         let solved: Vec<(usize, f64, usize, usize, f64, usize)> = pool::run_indexed(
-            instances
-                .iter()
-                .zip(&replayed)
-                .filter_map(|((_, g), replay)| replay.is_none().then_some(g))
-                .collect(),
+            instances.iter().map(|(_, g)| g).collect(),
             &ParallelConfig { threads },
             |_idx, g| {
                 let opt = exact_max_in_pairs(g);
@@ -1074,7 +934,6 @@ pub mod sdp {
                 )
             },
         );
-        let mut solved = solved.into_iter();
 
         let mut rows = Vec::new();
         let mut md_rows = String::new();
@@ -1083,50 +942,15 @@ pub mod sdp {
             "{:<12}{:>6}{:>8}{:>10}{:>10}{:>10}{:>8}",
             "instance", "m", "exact", "sdp val", "rounded", "rand E", "ratio"
         );
-        for (i, (name, g)) in instances.iter().enumerate() {
-            let row = match replayed[i].take() {
-                Some(row) => row,
-                None => {
-                    let (opt, sdp_value, in_pairs, in_plus_out, rand_expected, rand_best) = solved
-                        .next()
-                        .expect("instance list and consumption loop are aligned");
-                    let ratio = if opt > 0 {
-                        in_pairs as f64 / opt as f64
-                    } else {
-                        1.0
-                    };
-                    let id = format!("sdp/{name}");
-                    let row = Value::object([
-                        ("id", Value::from(id.clone())),
-                        ("instance", Value::from(name.to_string())),
-                        ("vertices", Value::from(g.n_vertices())),
-                        ("edges", Value::from(g.n_edges())),
-                        ("measured", Value::from(in_pairs)),
-                        ("bound", Value::from(opt)),
-                        ("sdp_value", Value::from(sdp_value)),
-                        ("in_plus_out", Value::from(in_plus_out)),
-                        ("random_expected", Value::from(rand_expected)),
-                        ("random_best", Value::from(rand_best)),
-                        ("ratio", Value::from(ratio)),
-                        ("ratio_ok", Value::from(ratio >= GUARANTEE)),
-                    ]);
-                    journal_row(ckpt, &id, &row);
-                    row
-                }
+        for ((name, g), (opt, sdp_value, in_pairs, in_plus_out, rand_expected, rand_best)) in
+            instances.iter().zip(solved)
+        {
+            let ratio = if opt > 0 {
+                in_pairs as f64 / opt as f64
+            } else {
+                1.0
             };
-            // Gates, console, and markdown all derive from the row JSON,
-            // so replayed and fresh instances walk one code path (the
-            // JSON shim's float round-trip is exact, keeping every
-            // formatted digit identical).
-            let opt = row.get("bound").and_then(Value::as_u64).unwrap_or(0);
-            let in_pairs = row.get("measured").and_then(Value::as_u64).unwrap_or(0);
-            let sdp_value = row.get("sdp_value").and_then(Value::as_f64).unwrap_or(0.0);
-            let rand_expected = row
-                .get("random_expected")
-                .and_then(Value::as_f64)
-                .unwrap_or(0.0);
-            let ratio = row.get("ratio").and_then(Value::as_f64).unwrap_or(0.0);
-            let ok = row.get("ratio_ok") == Some(&Value::Bool(true));
+            let ok = ratio >= GUARANTEE;
             min_ratio = min_ratio.min(ratio);
             if !ok {
                 artifact.violation(format!(
@@ -1157,9 +981,21 @@ pub mod sdp {
                 g.n_edges(),
                 if ok { "✓" } else { "✗" },
             ));
-            rows.push(row);
+            rows.push(Value::object([
+                ("id", Value::from(format!("sdp/{name}"))),
+                ("instance", Value::from(name.to_string())),
+                ("vertices", Value::from(g.n_vertices())),
+                ("edges", Value::from(g.n_edges())),
+                ("measured", Value::from(in_pairs)),
+                ("bound", Value::from(opt)),
+                ("sdp_value", Value::from(sdp_value)),
+                ("in_plus_out", Value::from(in_plus_out)),
+                ("random_expected", Value::from(rand_expected)),
+                ("random_best", Value::from(rand_best)),
+                ("ratio", Value::from(ratio)),
+                ("ratio_ok", Value::from(ok)),
+            ]));
         }
-        assert!(solved.next().is_none(), "instance cells left unconsumed");
         println!();
         println!(
             "min ratio {:.3} vs the appendix guarantee {GUARANTEE}; random baseline ≈ optimum/4",
@@ -1193,11 +1029,10 @@ pub mod sdp {
 /// The fault-injection pipeline behind `repro table1 --faults <profile>`:
 /// the arena engine re-run over clustered multi-agent populations with a
 /// deterministic [`rdv_sim::FaultPlan`] sweeping outage-rate × churn-rate
-/// axes — genuinely new cells under degraded spectra — on the *hardened*
-/// orchestrator: every cell is panic-quarantined, transient sampling
-/// failures are retried with exponential backoff, and a failing cell
-/// degrades the artifact (row-id-sorted `failed_cells` section, distinct
-/// exit code) instead of killing the grid.
+/// axes — genuinely new cells under degraded spectra. Every cell is
+/// panic-quarantined: a failing cell degrades the artifact (row-id-sorted
+/// `failed_cells` section, distinct exit code) instead of killing the
+/// grid.
 pub mod faults {
     use super::*;
     use crate::report::FailedCell;
@@ -1209,11 +1044,6 @@ pub mod faults {
 
     /// The deterministic base seed every cell seed is streamed from.
     pub const PIPELINE_SEED: u64 = 0xFA01_7ED5;
-
-    /// Pipeline-level retry rounds for transient sampling failures: the
-    /// scenario-probe budget doubles each round
-    /// (see [`pool::retry_with_backoff`]).
-    pub const CELL_RETRY_ROUNDS: u32 = 3;
 
     /// The channel universe and per-agent set size of every fault cell.
     const UNIVERSE: u64 = 32;
@@ -1234,25 +1064,18 @@ pub mod faults {
         Algorithm::AcsHopping,
     ];
 
-    /// Deliberate failures injected by CI and the degradation tests:
-    /// `poison_cell` panics (exercising panic quarantine), `exhaust_cell`
-    /// runs its scenario probe with a zero draw budget, which stays zero
-    /// through every backoff doubling (exercising bounded retry). Cell
-    /// indices are positions in grid (artifact row) order.
+    /// A deliberate failure injected by CI and the degradation tests: the
+    /// cell at `poison_cell` (a position in grid, i.e. artifact row,
+    /// order) panics, exercising the panic quarantine end to end.
     #[derive(Debug, Clone, Copy, Default)]
     pub struct Sabotage {
         /// Cell index that panics mid-evaluation.
         pub poison_cell: Option<usize>,
-        /// Cell index whose sampler deterministically exhausts.
-        pub exhaust_cell: Option<usize>,
     }
 
     impl Sabotage {
-        /// No injected failures — the committed-artifact configuration.
-        pub const NONE: Sabotage = Sabotage {
-            poison_cell: None,
-            exhaust_cell: None,
-        };
+        /// No injected failure — the committed-artifact configuration.
+        pub const NONE: Sabotage = Sabotage { poison_cell: None };
     }
 
     /// One cell of the fault grid.
@@ -1309,28 +1132,12 @@ pub mod faults {
         out
     }
 
-    /// Evaluates one cell: probe the scenario sampler (the one transient
-    /// failure mode, retried with exponential backoff), build the
-    /// clustered population, and run the arena engine twice — fault-free
-    /// control and faulted — recording how gracefully rendezvous degrades.
-    /// Cells run single-threaded inside the quarantined grid; the engine's
-    /// own determinism contract makes the rows thread-count invariant.
-    fn eval_cell(
-        cell: &FaultCell,
-        profile: &FaultProfile,
-        horizon: u64,
-        exhaust: bool,
-    ) -> Result<Value, (rdv_sim::SweepError, u32)> {
-        // The scenario feasibility probe: under heavy outage profiles the
-        // pipeline verifies a coalition control pair is drawable for this
-        // cell's seed. Sampling is the only transient failure mode a cell
-        // has, so it carries the bounded retry-with-backoff contract; a
-        // sabotaged cell's zero base budget stays zero through every
-        // doubling and exhausts deterministically.
-        let base_budget = if exhaust { 0 } else { 64 };
-        pool::retry_with_backoff(CELL_RETRY_ROUNDS, base_budget, |_round, budget| {
-            workload::coalition_pair_with_budget(1 << 16, 5, 2, cell.seed, Some(budget)).map(|_| ())
-        })?;
+    /// Evaluates one cell: build the clustered population and run the
+    /// arena engine twice — fault-free control and faulted — recording how
+    /// gracefully rendezvous degrades. Cells run single-threaded inside the
+    /// quarantined grid; the engine's own determinism contract makes the
+    /// rows thread-count invariant.
+    fn eval_cell(cell: &FaultCell, profile: &FaultProfile, horizon: u64) -> Value {
         let plan = FaultPlan::new(
             pool::stream_seed(cell.seed, 1),
             profile.epoch_slots,
@@ -1383,7 +1190,7 @@ pub mod faults {
             .filter_map(|((i, j), _)| faulted.ttr(i, j, faulted_sim.agents()))
             .max()
             .unwrap_or(0);
-        Ok(Value::object([
+        Value::object([
             ("id", Value::from(cell.id.clone())),
             ("algorithm", Value::from(cell.algo.to_string())),
             (
@@ -1417,25 +1224,7 @@ pub mod faults {
             ("bound", Value::from(horizon)),
             ("bound_kind", Value::from("run horizon (not gated)")),
             ("gated", Value::from(false)),
-        ]))
-    }
-
-    /// The checkpoint-journal identity of a faults run: the profile and
-    /// the sabotage indices both shape the rows, so both are pinned —
-    /// a journal from a sabotaged CI run can never resume a clean one.
-    pub fn fingerprint(
-        tier: Tier,
-        profile: &FaultProfile,
-        sabotage: Sabotage,
-    ) -> checkpoint::Fingerprint {
-        checkpoint::Fingerprint::new(
-            STEM,
-            tier,
-            &format!(
-                "profile={};poison={:?};exhaust={:?}",
-                profile.name, sabotage.poison_cell, sabotage.exhaust_cell
-            ),
-        )
+        ])
     }
 
     /// Runs the pipeline at `tier` on `threads` workers (0 = auto) with
@@ -1447,22 +1236,6 @@ pub mod faults {
         threads: usize,
         profile: &FaultProfile,
         sabotage: Sabotage,
-    ) -> PipelineOutput {
-        run_with(tier, threads, profile, sabotage, None)
-    }
-
-    /// [`run`], with an optional checkpoint journal. Unlike the other
-    /// pipelines (which journal rows as the finished grid is consumed),
-    /// every fault cell — including a quarantined [`FailedCell`], retry
-    /// count and all — is journaled from the pool's completion sink the
-    /// moment it finishes on its worker thread, so a SIGKILL mid-grid
-    /// loses at most the cells still in flight.
-    pub fn run_with(
-        tier: Tier,
-        threads: usize,
-        profile: &FaultProfile,
-        sabotage: Sabotage,
-        ckpt: Option<&Journal>,
     ) -> PipelineOutput {
         header(&format!(
             "Fault injection — outage × churn axes, profile '{}' (tier: {})",
@@ -1493,84 +1266,34 @@ pub mod faults {
                 ("base_seed", Value::from(PIPELINE_SEED)),
             ]),
         );
-        // Which cells the journal already carries (rows AND failed cells
-        // — a degraded run resumes with the same retries/causes); only
-        // the missing ones are submitted, by their original grid index so
-        // the sabotage indices stay grid-relative across a resume.
-        let replayed: Vec<Option<CellRecord>> = grid
-            .iter()
-            .map(|cell| ckpt.and_then(|j| j.lookup(&cell.id)).cloned())
-            .collect();
-        let todo: Vec<usize> = (0..grid.len()).filter(|&i| replayed[i].is_none()).collect();
-        // Converts one quarantined outcome into the record the journal
-        // and the artifact share: a finished row, or the FailedCell that
-        // degrades the artifact.
-        let outcome_record = |idx: usize,
-                              outcome: &Result<
-            Result<Value, (rdv_sim::SweepError, u32)>,
-            pool::TaskPanic,
-        >| {
-            let cell = &grid[idx];
-            match outcome {
-                Ok(Ok(row)) => CellRecord::Row {
-                    id: cell.id.clone(),
-                    row: row.clone(),
-                },
-                Ok(Err((e, rounds))) => CellRecord::Failed(FailedCell {
-                    id: cell.id.clone(),
-                    cause: e.to_string(),
-                    retries: *rounds,
-                    seed: cell.seed,
-                }),
-                Err(panic) => CellRecord::Failed(FailedCell {
-                    id: cell.id.clone(),
-                    cause: panic.to_string(),
-                    retries: 0,
-                    seed: cell.seed,
-                }),
-            }
-        };
-        // The remaining grid goes through the quarantined orchestrator
-        // (a panicking cell is recorded and released, never propagated),
-        // with a completion sink journaling each cell the moment its
-        // worker finishes it — the pipeline's actual crash-safety point.
-        let results = pool::run_indexed_quarantined_sink(
-            todo.clone(),
+        // A panicking cell is recorded and released, never propagated.
+        let results = pool::run_indexed(
+            grid.iter().collect(),
             &ParallelConfig { threads },
-            |_task, idx| {
-                let cell = &grid[idx];
-                if sabotage.poison_cell == Some(idx) {
-                    panic!("deliberately poisoned cell: {}", cell.id);
-                }
-                eval_cell(cell, profile, horizon, sabotage.exhaust_cell == Some(idx))
-            },
-            |task, outcome| {
-                if let Some(journal) = ckpt {
-                    journal.record(&outcome_record(todo[task], outcome));
-                }
+            |idx, cell| {
+                pool::quarantine(|| {
+                    if sabotage.poison_cell == Some(idx) {
+                        panic!("deliberately poisoned cell: {}", cell.id);
+                    }
+                    eval_cell(cell, profile, horizon)
+                })
             },
         );
-        let mut fresh = results.into_iter();
         let mut rows = Vec::new();
         let mut md_rows = String::new();
         println!(
             "{:<16}{:>7}{:>7}{:>7}{:>7}{:>9}{:>9}{:>10}{:>12}",
             "algorithm", "o‰", "c‰", "agents", "pairs", "met", "clean", "departed", "worstTTR"
         );
-        for (idx, cell) in grid.iter().enumerate() {
-            let record = match replayed[idx].clone() {
-                Some(record) => record,
-                None => outcome_record(
-                    idx,
-                    &fresh
-                        .next()
-                        .expect("todo list and consumption loop are aligned"),
-                ),
-            };
-            let row = match record {
-                CellRecord::Row { row, .. } => row,
-                CellRecord::Failed(failed) => {
-                    artifact.failed_cell(failed);
+        for (cell, result) in grid.iter().zip(results) {
+            let row = match result {
+                Ok(row) => row,
+                Err(panic) => {
+                    artifact.failed_cell(FailedCell {
+                        id: cell.id.clone(),
+                        cause: panic.to_string(),
+                        seed: cell.seed,
+                    });
                     continue;
                 }
             };
@@ -1602,7 +1325,6 @@ pub mod faults {
             ));
             rows.push(row);
         }
-        assert!(fresh.next().is_none(), "grid cells left unconsumed");
         artifact.section("rows", Value::Array(rows));
 
         let failed_md = artifact.failed_cells_markdown();

@@ -21,6 +21,8 @@
 
 use serde_json::Value;
 use std::collections::BTreeMap;
+use std::fs::File;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// The source paper, cited in every artifact.
@@ -66,18 +68,14 @@ pub fn headroom(measured: f64, bound: f64) -> f64 {
 /// One grid cell that failed and was quarantined instead of aborting the
 /// run — the unit of the graceful-degradation contract. Every field is
 /// deterministic (panic messages in this workspace are fixed strings,
-/// retry counts are attempt-based, seeds are derived), so a degraded
-/// artifact is still byte-identical across thread counts.
+/// seeds are derived), so a degraded artifact is still byte-identical
+/// across thread counts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FailedCell {
     /// The canonical row id of the cell (see [`cell_id`]).
     pub id: String,
-    /// Why it failed: a quarantined panic message or a typed sweep error
-    /// rendered via `Display`.
+    /// Why it failed: the quarantined panic message.
     pub cause: String,
-    /// Retry rounds spent before giving up (0 when the failure was not
-    /// retryable, e.g. a panic).
-    pub retries: u32,
     /// The cell's derived seed, for offline reproduction.
     pub seed: u64,
 }
@@ -155,12 +153,12 @@ impl Artifact {
             "## Failed cells\n\nThe grid degraded gracefully: the cells below were\n\
              quarantined (cause recorded, neighbors unaffected) and this artifact is\n\
              **partial** — `repro` exits with the degraded code 3.\n\n\
-             | row id | cause | retries | seed |\n|---|---|---:|---:|\n",
+             | row id | cause | seed |\n|---|---|---:|\n",
         );
         for c in &self.failed {
             md.push_str(&format!(
-                "| `{}` | {} | {} | {:#018x} |\n",
-                c.id, c.cause, c.retries, c.seed
+                "| `{}` | {} | {:#018x} |\n",
+                c.id, c.cause, c.seed
             ));
         }
         md
@@ -248,7 +246,6 @@ impl Artifact {
                             let mut obj = BTreeMap::new();
                             obj.insert("id".to_string(), Value::from(c.id.as_str()));
                             obj.insert("cause".to_string(), Value::from(c.cause.as_str()));
-                            obj.insert("retries".to_string(), Value::from(c.retries as u64));
                             // Seeds are full 64-bit stream values; hex
                             // strings dodge the shim's f64 number domain.
                             obj.insert(
@@ -273,8 +270,8 @@ impl Artifact {
 
 /// Writes the artifact pair as `<out_dir>/<stem>.json` and
 /// `<out_dir>/<stem>.md`, returning both paths. Each file is committed
-/// atomically ([`crate::checkpoint::commit_bytes`]): a crash mid-write
-/// leaves the previous artifact intact, never a partial one.
+/// atomically ([`commit_bytes`]): a crash mid-write leaves the previous
+/// artifact intact, never a partial one.
 ///
 /// # Panics
 ///
@@ -285,12 +282,50 @@ pub fn write_artifacts(out_dir: &Path, stem: &str, out: &PipelineOutput) -> (Pat
         .unwrap_or_else(|e| panic!("creating {}: {e}", out_dir.display()));
     let json_path = out_dir.join(format!("{stem}.json"));
     let json_bytes = serde_json::to_string_pretty(&out.json) + "\n";
-    crate::checkpoint::commit_bytes(&json_path, json_bytes.as_bytes())
+    commit_bytes(&json_path, json_bytes.as_bytes())
         .unwrap_or_else(|e| panic!("writing {}: {e}", json_path.display()));
     let md_path = out_dir.join(format!("{stem}.md"));
-    crate::checkpoint::commit_bytes(&md_path, out.markdown.as_bytes())
+    commit_bytes(&md_path, out.markdown.as_bytes())
         .unwrap_or_else(|e| panic!("writing {}: {e}", md_path.display()));
     (json_path, md_path)
+}
+
+/// Atomically commits `bytes` as the complete contents of `path`: writes
+/// a same-directory temporary file, fsyncs it, and renames it over the
+/// destination. A crash at any point leaves either the old file or the
+/// new one — never a partial artifact. Every `REPRO_*`, `BENCH_*` and
+/// `DASHBOARD.md` writer and `repro history fsck --repair` go through it.
+///
+/// # Errors
+///
+/// Propagates I/O failures (the temporary file is cleaned up on a failed
+/// commit where possible).
+pub fn commit_bytes(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d.to_path_buf(),
+        _ => PathBuf::from("."),
+    };
+    let name = path
+        .file_name()
+        .and_then(|n| n.to_str())
+        .unwrap_or("artifact");
+    let tmp = dir.join(format!(".{name}.{}.tmp", std::process::id()));
+    let commit = (|| {
+        let mut file = File::create(&tmp)?;
+        file.write_all(bytes)?;
+        // Flush file contents to disk before the rename publishes them,
+        // so the rename can never expose an empty or partial file.
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)
+    })();
+    if commit.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    } else {
+        // Durability of the rename itself: fsync the directory entry.
+        // Best-effort — not every platform lets a directory be opened.
+        let _ = File::open(&dir).and_then(|d| d.sync_all());
+    }
+    commit
 }
 
 /// Collects every `(id, measured, bound)` row of an artifact: any object
@@ -365,5 +400,29 @@ mod tests {
             cell_id("ours (Thm 3)", "async", "symmetric", 16),
             "ours (Thm 3)/async/symmetric/n=16"
         );
+    }
+
+    #[test]
+    fn commit_bytes_replaces_contents_atomically() {
+        let dir = std::env::temp_dir().join(format!("rdv_report_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let path = dir.join("commit.txt");
+        commit_bytes(&path, b"first generation\n").expect("commit");
+        assert_eq!(
+            std::fs::read_to_string(&path).expect("read"),
+            "first generation\n"
+        );
+        commit_bytes(&path, b"second generation\n").expect("commit");
+        assert_eq!(
+            std::fs::read_to_string(&path).expect("read"),
+            "second generation\n"
+        );
+        // No temporary droppings left behind.
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .expect("read dir")
+            .filter_map(|e| e.ok())
+            .filter(|e| e.file_name().to_string_lossy().contains("commit.txt."))
+            .collect();
+        assert!(leftovers.is_empty(), "{leftovers:?}");
     }
 }

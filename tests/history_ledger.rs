@@ -152,22 +152,14 @@ fn deeply_nested_line_is_skipped_and_repaired() {
         ledger.skipped[0].error
     );
 
-    let fsck = |repair: bool| {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
-        cmd.args(["history", "fsck", "--history"]).arg(&path);
-        if repair {
-            cmd.arg("--repair");
-        }
-        cmd.output().expect("run repro history fsck")
-    };
-    let out = fsck(false);
+    let out = fsck(&path, false);
     assert_eq!(
         out.status.code(),
         Some(1),
         "corruption without --repair exits 1: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let out = fsck(true);
+    let out = fsck(&path, true);
     assert!(
         out.status.success(),
         "fsck --repair failed: {}",
@@ -176,6 +168,91 @@ fn deeply_nested_line_is_skipped_and_repaired() {
     let repaired = history::read(&path).expect("read repaired");
     assert_eq!(repaired.entries, ledger.entries);
     assert!(repaired.skipped.is_empty());
+}
+
+/// Runs `repro history fsck` on `path`, with `--repair` when asked.
+fn fsck(path: &PathBuf, repair: bool) -> std::process::Output {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
+    cmd.args(["history", "fsck", "--history"]).arg(path);
+    if repair {
+        cmd.arg("--repair");
+    }
+    cmd.output().expect("run repro history fsck")
+}
+
+#[test]
+fn repair_is_idempotent_on_overflowing_numbers() {
+    // `1e999` overflows f64. Were it parsed as infinity, `--repair` would
+    // keep the line and write the value back as `null`, and the next
+    // `fsck` would report the rewritten line as corrupt.
+    let path = scratch("overflow.jsonl");
+    let _ = std::fs::remove_file(&path);
+    history::append(&path, &generation("kernel", &[("n=16", 7.0)])).expect("append");
+    let text = std::fs::read_to_string(&path).expect("read back");
+    assert!(text.contains("\"value\":7"), "{text}");
+    let text = text.replace("\"value\":7", "\"value\":1e999") + "{corrupt\n";
+    std::fs::write(&path, text).expect("rewrite");
+    history::append(&path, &generation("kernel", &[("n=16", 2.0)])).expect("append");
+
+    let ledger = history::read(&path).expect("read");
+    assert_eq!(ledger.entries.len(), 1);
+    assert_eq!(
+        ledger.skipped.iter().map(|s| s.line).collect::<Vec<_>>(),
+        vec![1, 2]
+    );
+    assert!(
+        ledger.skipped[0].error.contains("number out of range"),
+        "{}",
+        ledger.skipped[0].error
+    );
+    let out = fsck(&path, true);
+    assert!(
+        out.status.success(),
+        "fsck --repair failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = fsck(&path, false);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "fsck after --repair must find a clean ledger: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(history::read(&path).expect("read").entries, ledger.entries);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Hostile ledger bytes never abort the parser: arbitrary bytes, a
+    /// truncated committed line, and a committed line with one byte
+    /// replaced each yield an entry or a skipped line for every non-blank
+    /// line, never a panic.
+    #[test]
+    fn hostile_ledger_bytes_are_entries_or_skipped_lines(
+        noise in proptest::collection::vec(0u8..=255, 0..96),
+        pick in 0usize..64,
+        cut in 0usize..1 << 16,
+        flip in (0usize..1 << 16, 0u8..=255),
+    ) {
+        let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+        let committed = std::fs::read_to_string(root.join("HISTORY.jsonl")).expect("ledger");
+        let lines: Vec<&str> = committed.lines().filter(|l| !l.trim().is_empty()).collect();
+        let line = lines[pick % lines.len()].as_bytes();
+
+        let cut = cut % (line.len() + 1);
+        let mut flipped = line.to_vec();
+        flipped[flip.0 % line.len()] = flip.1;
+        for bytes in [&noise[..], &line[..cut], &flipped[..]] {
+            let text = String::from_utf8_lossy(bytes);
+            let ledger = history::parse(&text);
+            let non_blank = text.lines().filter(|l| !l.trim().is_empty()).count();
+            prop_assert_eq!(ledger.entries.len() + ledger.skipped.len(), non_blank);
+        }
+        // A proper prefix of a JSON object never parses.
+        let truncated = history::parse(&String::from_utf8_lossy(&line[..cut]));
+        prop_assert_eq!(truncated.entries.len(), usize::from(cut == line.len()));
+    }
 }
 
 proptest! {
@@ -584,6 +661,12 @@ fn repro_argument_errors_exit_2() {
         (&["--smoke", "lower", "--faults", "light"], "--faults"),
         (&["--smoke", "table1", "--sabotage"], "--sabotage"),
         (&["--smoke", "--quick", "sdp"], "--quick"),
+        // Pipelines keep no resume state: the journal flags are unknown.
+        (
+            &["--smoke", "table1", "--checkpoint", "t.ckpt"],
+            "--checkpoint",
+        ),
+        (&["--smoke", "sdp", "--resume", "t.ckpt"], "--resume"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(args)

@@ -218,6 +218,8 @@ proptest! {
     #[test]
     fn exhaustive_sweep_equivalence(
         (n, a, b) in overlapping_instance(),
+        ra in proptest::collection::vec(1u64..=3, 1..=7),
+        rb in proptest::collection::vec(1u64..=3, 1..=7),
     ) {
         // The compile-once sliding sweep must match the naive exhaustive
         // sweep exactly — same worst shift, same worst TTR.
@@ -233,6 +235,18 @@ proptest! {
                 "exhaustive sweep diverged (A={}, B={}, n={})", a, b, n
             );
         }
+        // Unequal periods: every relative phase of both wake orders occurs
+        // among the shifts 0..P_A·P_B, the ground truth. Two cyclic
+        // schedules that have not met within P_A·P_B slots never meet.
+        let cyc = |raw: &[u64]| {
+            CyclicSchedule::new(raw.iter().map(|&c| Channel::new(c)).collect()).expect("non-empty")
+        };
+        let (ca, cb) = (cyc(&ra), cyc(&rb));
+        let joint = (ra.len() * rb.len()) as u64;
+        let truth = verify::naive::worst_async_ttr(&ca, &cb, 0..joint, joint).map(|w| w.ttr);
+        let swept = verify::worst_async_ttr_exhaustive(&ca, &cb, joint);
+        prop_assert_eq!(swept.map(|w| w.ttr), truth, "A={:?}, B={:?}", ra, rb);
+        prop_assert_eq!(swept, verify::naive::worst_async_ttr_exhaustive(&ca, &cb, joint));
     }
 
     #[test]

@@ -3,11 +3,10 @@
 //! **indistinguishable** from the sequential two-nested-loops reference
 //! for every tree shape — including empty parents, single-child parents,
 //! and whole sweep grids — at every thread count, and a panicking task
-//! (expansion or child) must propagate instead of deadlocking the pool. The hardened runner inverts that last clause: under
-//! `run_indexed_quarantined_sink` a panicking task is *recorded* in its
-//! result slot, every task reaches the completion sink exactly once, and
-//! the rest of the grid completes; `retry_with_backoff` rounds out the
-//! fault-tolerant orchestrator surface.
+//! (expansion or child) must propagate instead of deadlocking the pool.
+//! `pool::quarantine` inverts that last clause: a quarantined task's panic
+//! is *recorded* in its result slot and the rest of the grid completes;
+//! `retry_with_backoff` rounds out the fault-tolerant orchestrator surface.
 
 use blind_rendezvous::sim::pool::{self, ParallelConfig, TaskPanic, TreePath};
 use blind_rendezvous::sim::sweep::{sweep_pair_grid, sweep_pair_ttr, SweepCell};
@@ -15,7 +14,6 @@ use blind_rendezvous::sim::workload::{self, PairScenario};
 use blind_rendezvous::sim::{Algorithm, SweepConfig, SweepError};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
 
 /// A per-path value every child mixes into its result, so a child landing
 /// under the wrong `(parent, child)` path changes the output.
@@ -284,24 +282,17 @@ fn one_bad_cell_does_not_poison_its_grid_neighbors() {
 #[test]
 fn quarantined_task_panics_are_recorded_not_propagated() {
     for threads in [1usize, 2, 8] {
-        let sunk = Mutex::new(Vec::new());
-        let results = pool::run_indexed_quarantined_sink(
+        let results = pool::run_indexed(
             (0..16u64).collect::<Vec<_>>(),
             &ParallelConfig::with_threads(threads),
             |i, v| {
-                if i == 5 {
-                    panic!("cell bomb {i}");
-                }
-                v * 2
+                pool::quarantine(|| {
+                    if i == 5 {
+                        panic!("cell bomb {i}");
+                    }
+                    v * 2
+                })
             },
-            |i, _| sunk.lock().unwrap().push(i),
-        );
-        let mut sunk = sunk.into_inner().unwrap();
-        sunk.sort_unstable();
-        assert_eq!(
-            sunk,
-            (0..16).collect::<Vec<_>>(),
-            "every index must reach the sink exactly once at {threads} threads"
         );
         assert_eq!(results.len(), 16, "grid truncated at {threads} threads");
         for (i, r) in results.iter().enumerate() {
@@ -343,8 +334,8 @@ fn retry_backoff_doubles_budgets_and_stops_on_first_ok() {
     let out: Result<(), _> = pool::retry_with_backoff(3, 1, |round, _| Err(round));
     assert_eq!(out, Err((2, 3)));
 
-    // A zero base budget stays zero through every doubling — the
-    // deterministic exhaustion seam the sabotaged pipeline cells rely on.
+    // A zero base budget stays zero through every doubling, so it
+    // exhausts deterministically.
     let mut budgets = Vec::new();
     let out: Result<(), _> = pool::retry_with_backoff(4, 0, |_, budget| {
         budgets.push(budget);
