@@ -32,7 +32,7 @@ pub enum Mode {
     Asynchronous,
     /// Epochs are single synchronous codewords (`C`-words); guarantees hold
     /// only when both agents start at the same slot. Roughly half the epoch
-    /// length — used by the ablation bench.
+    /// length.
     Synchronous,
 }
 
@@ -98,7 +98,7 @@ impl GeneralSchedule {
     }
 
     /// Builds a schedule in the given [`Mode`].
-    pub fn with_mode(n: u64, set: ChannelSet, mode: Mode) -> Option<Self> {
+    fn with_mode(n: u64, set: ChannelSet, mode: Mode) -> Option<Self> {
         if set.max_channel().get() > n {
             return None;
         }

@@ -21,7 +21,8 @@
 //!
 //! The original per-slot implementations are kept as `*_naive` reference
 //! functions; the workspace property tests assert the kernels are
-//! bit-identical to them, and `benches/kernel.rs` tracks the speedup.
+//! bit-identical to them, and the `bench_report` kernel suite
+//! (`BENCH_kernel.json`) tracks the speedup.
 
 use crate::compiled::CompiledSchedule;
 use crate::schedule::Schedule;
@@ -254,7 +255,8 @@ where
 ///
 /// These are the original (pre-kernel) loops over [`Schedule::channel_at`].
 /// They exist so the property tests can assert the block/compiled kernels
-/// are bit-identical, and so `benches/kernel.rs` can measure the speedup.
+/// are bit-identical, and so the `bench_report` kernel suite can measure
+/// the speedup.
 pub mod naive {
     use super::{Schedule, WorstCase};
 

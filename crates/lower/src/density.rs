@@ -81,8 +81,7 @@ pub fn density<S: Schedule + ?Sized>(schedule: &S, h: u64, t: u64) -> f64 {
 /// Per-slot reference implementation of [`density`].
 ///
 /// This is the original loop over [`Schedule::channel_at`]; it exists so
-/// the property tests can assert the folded count is bit-identical, and so
-/// `benches/lower_bounds.rs` can measure the speedup.
+/// the property tests can assert the folded count is bit-identical.
 pub mod naive {
     use rdv_core::schedule::Schedule;
 

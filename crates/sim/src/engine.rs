@@ -92,8 +92,10 @@ const COMPILE_BUDGET_SLOTS: u64 = 1 << 23;
 /// bucket scan ~`agents · BLOCK` gather steps plus the regrouping and
 /// bucket-pair emissions — so the scan wins once each agent carries a
 /// few dozen pending pairs. 16 is the measured crossover on clustered
-/// populations (see `benches/multiuser.rs`); the exact value only
-/// matters near the boundary, where the two modes cost the same.
+/// populations (the `bench_report` multiuser suite times both modes per
+/// cell, and perfbench's traced `engine.forced.{slots,buckets}_s` spans
+/// time them on the arena workloads); the exact value only matters near
+/// the boundary, where the two modes cost the same.
 ///
 /// Public so density-aware consumers (the `bench_report` speedup gate)
 /// classify cells by the same threshold the engine uses.

@@ -38,9 +38,10 @@
 //!   pure function of *which* task, never of *where* or *when* it ran.
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
+use std::cell::Cell;
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Once, OnceLock};
 
 /// Thread-count policy for the parallel orchestrator.
 ///
@@ -489,9 +490,8 @@ where
 }
 
 // ---------------------------------------------------------------------
-// Orchestrator hardening: panic quarantine and deterministic bounded
-// retry, so one poisoned grid cell degrades its artifact instead of
-// killing the whole submission.
+// Orchestrator hardening: panic quarantine, so one poisoned grid cell
+// degrades its artifact instead of killing the whole submission.
 // ---------------------------------------------------------------------
 
 /// A quarantined task panic: the deterministic payload message of a task
@@ -523,14 +523,37 @@ impl std::fmt::Display for TaskPanic {
 
 impl std::error::Error for TaskPanic {}
 
+thread_local! {
+    /// Set while this thread runs a [`quarantine`]d closure.
+    static QUARANTINED: Cell<bool> = const { Cell::new(false) };
+}
+
 /// Runs `f`, converting a panic into a typed [`TaskPanic`] instead of
 /// unwinding. This is the quarantine primitive: wrapping every task
 /// closure of a [`run_indexed`]/[`run_tree_barrier`] submission in it
 /// means no task ever panics *as seen by the pool*, so the barrier
 /// machinery completes normally and the poisoned cell surfaces as an
 /// `Err` in its result slot rather than killing its grid neighbors.
+///
+/// The panic is reported once, through that `Err`: the first call
+/// installs a process panic hook that prints nothing for a panic inside
+/// `quarantine` and hands every other panic to the hook installed before
+/// it. A panic on a thread `f` spawns itself is outside the quarantine
+/// and still prints.
 pub fn quarantine<R>(f: impl FnOnce() -> R) -> Result<R, TaskPanic> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+    static INSTALL_HOOK: Once = Once::new();
+    INSTALL_HOOK.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !QUARANTINED.with(Cell::get) {
+                previous(info);
+            }
+        }));
+    });
+    let outer = QUARANTINED.with(|q| q.replace(true));
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+    QUARANTINED.with(|q| q.set(outer));
+    result.map_err(|payload| {
         let message = if let Some(s) = payload.downcast_ref::<&'static str>() {
             (*s).to_string()
         } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -540,38 +563,6 @@ pub fn quarantine<R>(f: impl FnOnce() -> R) -> Result<R, TaskPanic> {
         };
         TaskPanic { message }
     })
-}
-
-/// Deterministic bounded retry with exponential **backoff-in-attempts**:
-/// calls `attempt(round, budget)` with a budget that doubles every round
-/// (`base_budget`, `2·base_budget`, `4·base_budget`, …) for up to
-/// `rounds` rounds, returning the first `Ok` or — once every round has
-/// failed — the last error together with the number of rounds used.
-///
-/// Backoff here widens the *work budget*, never a wall-clock sleep:
-/// transient failures in this workspace (e.g. a scenario sampler
-/// exhausting its draw budget) are functions of how hard the task tried,
-/// not of when it ran, so retried work stays a pure function of
-/// `(attempt, round)` and grid artifacts stay byte-identical. A zero
-/// `base_budget` stays zero through every doubling, so it exhausts
-/// deterministically. The coalition sampler
-/// ([`crate::workload::coalition_pair`]) retries through it.
-pub fn retry_with_backoff<R, E>(
-    rounds: u32,
-    base_budget: u32,
-    mut attempt: impl FnMut(u32, u32) -> Result<R, E>,
-) -> Result<R, (E, u32)> {
-    let rounds = rounds.max(1);
-    let mut budget = base_budget;
-    let mut last = None;
-    for round in 0..rounds {
-        match attempt(round, budget) {
-            Ok(r) => return Ok(r),
-            Err(e) => last = Some(e),
-        }
-        budget = budget.saturating_mul(2);
-    }
-    Err((last.expect("at least one round ran"), rounds))
 }
 
 #[cfg(test)]

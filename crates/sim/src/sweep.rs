@@ -97,16 +97,6 @@ pub enum SweepError {
         /// What the generator requires.
         reason: &'static str,
     },
-    /// A randomized scenario sampler exceeded its retry budget in every
-    /// backoff round — the typed replacement for the unbounded resampling
-    /// loops that could spin forever on near-infeasible parameters.
-    SamplingExhausted {
-        /// Total draws attempted across all rounds before giving up.
-        attempts: u32,
-        /// Exponential backoff-in-attempts rounds used (the per-round
-        /// draw budget doubles each round).
-        rounds: u32,
-    },
 }
 
 impl fmt::Display for SweepError {
@@ -127,12 +117,6 @@ impl fmt::Display for SweepError {
             }
             SweepError::InvalidScenario { reason } => {
                 write!(f, "invalid scenario parameters: {reason}")
-            }
-            SweepError::SamplingExhausted { attempts, rounds } => {
-                write!(
-                    f,
-                    "scenario sampler gave up after {attempts} draws across {rounds} backoff rounds"
-                )
             }
         }
     }

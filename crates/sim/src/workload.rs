@@ -96,53 +96,21 @@ pub fn symmetric_pair(n: u64, k: usize, seed: u64) -> Option<PairScenario> {
 /// additionally gets `k − band` private channels scattered by seed, with
 /// the two private pools kept disjoint so exactly the band is shared.
 ///
-/// Private channels are drawn through a set-based rejection sampler
-/// (`O(1)` membership instead of the former `Vec::contains` probes, which
-/// made sampling `O(k²)`), and both sides draw against one `taken` set so
-/// disjointness holds by construction — the former resample-until-disjoint
-/// loop, which could spin indefinitely at large `k/n` ratios, is gone.
-/// When the private pools would fill a quarter or more of the usable
-/// spectrum, the sampler switches to an exact shuffle of the (then small)
-/// usable range, so every feasible parameter set terminates.
+/// Both private pools come from one sample of `2(k − band)` distinct
+/// indices into the usable spectrum (Floyd's algorithm: exactly one draw
+/// per index, whatever `k/n`), mapped around the avoided band, shuffled
+/// and split in half — so every feasible parameter set terminates after a
+/// fixed number of draws.
 ///
 /// # Errors
 ///
-/// * [`SweepError::InvalidScenario`] if `band == 0`, `band > k`, or
-///   `2k > n`;
-/// * [`SweepError::SamplingExhausted`] if the (bounded) rejection sampler
-///   runs out of attempts — astronomically unlikely for feasible
-///   parameters, but typed rather than a hang.
+/// [`SweepError::InvalidScenario`] if `band == 0`, `band > k`, or
+/// `2k > n`.
 pub fn coalition_pair(
     n: u64,
     k: usize,
     band: usize,
     seed: u64,
-) -> Result<PairScenario, SweepError> {
-    coalition_pair_with_budget(n, k, band, seed, None)
-}
-
-/// Backoff rounds of the sparse-regime rejection sampler in
-/// [`coalition_pair_with_budget`]: the per-round draw budget doubles each
-/// round, and [`SweepError::SamplingExhausted`] is only reported once
-/// every round has failed.
-pub const SAMPLER_BACKOFF_ROUNDS: u32 = 4;
-
-/// [`coalition_pair`] with an explicit rejection-sampler base attempt
-/// budget — the test seam that lets the (otherwise astronomically
-/// unlikely) [`SweepError::SamplingExhausted`] path be exercised
-/// deterministically. `None` uses the production base budget of 64 + 64
-/// draws per needed private channel; the budget only matters in the
-/// sparse sampling regime (the dense regime shuffles exactly and never
-/// retries), where it doubles over [`SAMPLER_BACKOFF_ROUNDS`] exponential
-/// backoff rounds — note `Some(0)` stays zero through every doubling, so
-/// it exhausts deterministically.
-#[doc(hidden)]
-pub fn coalition_pair_with_budget(
-    n: u64,
-    k: usize,
-    band: usize,
-    seed: u64,
-    budget_override: Option<u32>,
 ) -> Result<PairScenario, SweepError> {
     if band == 0 || band > k || (2 * k) as u64 > n {
         return Err(SweepError::InvalidScenario {
@@ -153,76 +121,35 @@ pub fn coalition_pair_with_budget(
     let mid = n / 2;
     // The avoided region is mid..=mid+band (one more than the shared
     // band, matching the original geometry).
-    let band_hi = mid + band as u64;
+    let avoided = band as u64 + 1;
     let private_per_side = k - band;
+    let picks = 2 * private_per_side;
     // `2k ≤ n` and `band ≥ 1` guarantee the spectrum outside the avoided
     // region can host both private pools: 2(k − band) ≤ n − 2band ≤
     // n − band − 1 = usable.
-    let usable = n - (band_hi - mid + 1);
-    debug_assert!((2 * private_per_side) as u64 <= usable);
-    let (pa, pb): (Vec<u64>, Vec<u64>) = if (4 * private_per_side) as u64 >= usable {
-        // Dense regime: the usable spectrum is at most 4 pools wide, so
-        // materialize and shuffle it exactly — no retries possible.
-        let mut u: Vec<u64> = (1..=n).filter(|&c| !(mid..=band_hi).contains(&c)).collect();
-        u.shuffle(&mut rng);
-        let pa = u[..private_per_side].to_vec();
-        let pb = u[private_per_side..2 * private_per_side].to_vec();
-        (pa, pb)
-    } else {
-        // Sparse regime (the intended huge-universe case): bounded
-        // rejection sampling under the orchestrator's exponential
-        // backoff-in-attempts policy ([`pool::retry_with_backoff`]).
-        // Each round draws from a round-derived RNG stream against a
-        // fresh `taken` set with a per-round budget that doubles
-        // (base, 2·base, 4·base, …), so retries explore new draws and
-        // the whole procedure stays a pure function of `(seed, round)`.
-        // Each draw succeeds with probability > 1/2, so even the base
-        // budget fails with probability < 2^-64 per needed channel; a
-        // zero override stays zero through every doubling and exhausts
-        // deterministically.
-        let base = budget_override.unwrap_or(64 + 64 * (2 * private_per_side) as u32);
-        let mut total_attempts = 0u32;
-        let drawn =
-            crate::pool::retry_with_backoff(SAMPLER_BACKOFF_ROUNDS, base, |round, budget| {
-                let mut rng = StdRng::seed_from_u64(crate::pool::stream_seed(seed, round as u64));
-                let mut taken: HashSet<u64> = HashSet::new();
-                let mut attempts = 0u32;
-                let sample_pool = |rng: &mut StdRng,
-                                   taken: &mut HashSet<u64>,
-                                   attempts: &mut u32|
-                 -> Option<Vec<u64>> {
-                    let mut out = Vec::with_capacity(private_per_side);
-                    while out.len() < private_per_side {
-                        if *attempts >= budget {
-                            return None;
-                        }
-                        *attempts += 1;
-                        let c = rng.gen_range(1..=n);
-                        if !(mid..=band_hi).contains(&c) && taken.insert(c) {
-                            out.push(c);
-                        }
-                    }
-                    Some(out)
-                };
-                let pools = sample_pool(&mut rng, &mut taken, &mut attempts).and_then(|pa| {
-                    sample_pool(&mut rng, &mut taken, &mut attempts).map(|pb| (pa, pb))
-                });
-                total_attempts += attempts;
-                pools.ok_or(())
-            });
-        match drawn {
-            Ok(pools) => pools,
-            Err(((), rounds)) => {
-                return Err(SweepError::SamplingExhausted {
-                    attempts: total_attempts,
-                    rounds,
-                });
-            }
-        }
-    };
+    let usable = n - avoided;
+    debug_assert!(picks as u64 <= usable);
+    // Floyd's sample of `picks` distinct indices in [0, usable); index `i`
+    // is channel `i + 1` below the avoided region and `i + 1 + avoided`
+    // above it.
+    let mut taken = HashSet::with_capacity(picks);
+    let mut private = Vec::with_capacity(picks);
+    for j in usable - picks as u64..usable {
+        let t = rng.gen_range(0..=j);
+        let i = if taken.insert(t) {
+            t
+        } else {
+            taken.insert(j);
+            j
+        };
+        private.push(if i + 1 < mid { i + 1 } else { i + 1 + avoided });
+    }
+    private.shuffle(&mut rng);
+    let (pa, pb) = private.split_at(private_per_side);
     let shared = (0..band as u64).map(|i| mid + i);
-    let a = ChannelSet::new(shared.clone().chain(pa)).map_err(SweepError::InvalidSet)?;
-    let b = ChannelSet::new(shared.chain(pb)).map_err(SweepError::InvalidSet)?;
+    let a = ChannelSet::new(shared.clone().chain(pa.iter().copied()))
+        .map_err(SweepError::InvalidSet)?;
+    let b = ChannelSet::new(shared.chain(pb.iter().copied())).map_err(SweepError::InvalidSet)?;
     Ok(PairScenario { a, b })
 }
 
@@ -377,14 +304,22 @@ mod tests {
 
     #[test]
     fn coalition_dense_parameters_terminate_exactly() {
-        // 2k == n, the regime where the former resample-until-disjoint
-        // loop could spin: the exact shuffle path must succeed, with the
-        // band still the only shared channels.
-        for seed in 0..32 {
-            let s = coalition_pair(16, 8, 3, seed).expect("feasible dense coalition");
-            assert_eq!(s.a.len(), 8);
-            assert_eq!(s.b.len(), 8);
-            assert_eq!(s.a.intersection(&s.b).len(), 3, "seed {seed}");
+        // 2k == n (dense: the private pools fill the usable spectrum) and
+        // n = 2⁴⁰ (sparse): one sampler serves both, deterministically,
+        // with the band still the only shared channels.
+        for (n, k, band) in [(16u64, 8usize, 3usize), (1 << 40, 5, 2), (1 << 40, 64, 2)] {
+            for seed in 0..32 {
+                let s = coalition_pair(n, k, band, seed).expect("feasible coalition");
+                assert_eq!(s, coalition_pair(n, k, band, seed).expect("same draw"));
+                assert_eq!(s.a.len(), k);
+                assert_eq!(s.b.len(), k);
+                assert!(s.a.max_channel().get() <= n && s.b.max_channel().get() <= n);
+                assert_eq!(
+                    s.a.intersection(&s.b).len(),
+                    band,
+                    "n={n} k={k} seed {seed}"
+                );
+            }
         }
     }
 

@@ -54,10 +54,6 @@
 //!                      committed markdown sparkline tables (default
 //!                      DASHBOARD.md); byte-identical given the same
 //!                      ledger, so CI diffs it against the committed copy
-//!   history-import ARTIFACT.json...  --history FILE
-//!                      backfills ledger entries from committed
-//!                      REPRO_*.json / BENCH_*.json snapshots (the seed
-//!                      generation); bench entries record the CLI tier
 //!   history fsck [--repair] [--history FILE]
 //!                      checks the ledger (default HISTORY.jsonl) for
 //!                      corrupt lines: reports each with its line number
@@ -207,15 +203,6 @@ fn main() {
             let ledger = history_path.unwrap_or_else(|| PathBuf::from("HISTORY.jsonl"));
             let out = PathBuf::from(args.value("--out").unwrap_or("DASHBOARD.md"));
             dashboard(&ledger, &out);
-        }
-        "history-import" => {
-            let Some(ledger) = &history_path else {
-                usage_error("usage: repro history-import ARTIFACT.json... --history LEDGER.jsonl");
-            };
-            if positional.len() < 2 {
-                usage_error("history-import: no artifact files given");
-            }
-            history_import(ledger, &positional[1..], tier);
         }
         "history" => match positional.get(1).map(String::as_str) {
             Some("fsck") => {
@@ -406,42 +393,4 @@ fn dashboard(ledger_path: &std::path::Path, out_path: &std::path::Path) {
         ledger.entries.len(),
         ledger.skipped.len()
     );
-}
-
-/// `repro history-import`: backfills ledger entries from committed
-/// artifact / bench snapshots. Pipeline artifacts carry their own
-/// provenance; bench reports record the CLI `tier`.
-fn history_import(ledger_path: &std::path::Path, files: &[String], tier: Tier) {
-    let (commit, utc) = history::writer_context();
-    let host = HostFingerprint::detect();
-    for path in files {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("reading {path}: {e}");
-            std::process::exit(2);
-        });
-        let doc: serde_json::Value = serde_json::from_str(&text).unwrap_or_else(|e| {
-            eprintln!("parsing {path}: {e}");
-            std::process::exit(2);
-        });
-        let entry = if doc.get("pipeline").is_some() {
-            history::entry_from_artifact(&doc, &commit, &host, &utc)
-        } else {
-            history::entry_from_bench(&doc, tier.name(), &commit, &host, &utc)
-        }
-        .unwrap_or_else(|e| {
-            eprintln!("history-import: {path}: {e}");
-            std::process::exit(2);
-        });
-        history::append(ledger_path, &entry).unwrap_or_else(|e| {
-            eprintln!("history: appending to {}: {e}", ledger_path.display());
-            std::process::exit(2);
-        });
-        println!(
-            "imported {} ({} {} rows) into {}",
-            path,
-            entry.rows.len(),
-            entry.kind.name(),
-            ledger_path.display()
-        );
-    }
 }

@@ -676,8 +676,10 @@ fn repro_argument_errors_exit_2() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains(names), "{args:?} names {names}: {stderr}");
     }
-    // The console experiments are gone: `all` runs the artifact pipelines.
+    // The console experiments and the one-time ledger backfill are gone:
+    // `all` runs the artifact pipelines.
     for name in [
+        "history-import",
         "table1-asym",
         "table1-sym",
         "thm3-scaling",

@@ -2,11 +2,13 @@
 //! with one deliberately panicking cell must still complete, emit a
 //! partial artifact whose `failed_cells` section lists exactly that cell
 //! (with cause and seed), keep every other row — and stay byte-identical
-//! across worker thread counts.
+//! across worker thread counts. `repro` reports the quarantined panic
+//! once, as its `FAILED CELL` line.
 
 use blind_rendezvous::pipelines::faults::{self, Sabotage};
 use blind_rendezvous::report::Tier;
 use rdv_core::fault::FaultProfile;
+use std::process::Command;
 
 /// The sabotage configuration `repro --sabotage` and CI use: cell 1
 /// panics.
@@ -91,4 +93,40 @@ fn clean_grid_has_no_failed_cells_and_keeps_every_row() {
     // consumers can rely on the schema.
     let failed = out.json.get("failed_cells").and_then(|f| f.as_array());
     assert_eq!(failed.map(|f| f.len()), Some(0));
+}
+
+#[test]
+fn quarantined_panic_is_reported_once_and_others_still_print() {
+    let dir = std::env::temp_dir().join(format!("rdv_degradation_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let sabotaged = |out_dir: &std::path::Path| {
+        Command::new(env!("CARGO_BIN_EXE_repro"))
+            .arg("--smoke")
+            .arg("--out-dir")
+            .arg(out_dir)
+            .args(["table1", "--faults", "light", "--sabotage"])
+            .env("RUST_BACKTRACE", "1")
+            .output()
+            .expect("run repro")
+    };
+
+    // The poisoned cell panics inside the quarantine: no panic message or
+    // backtrace, only the degraded exit code and one FAILED CELL line.
+    let out = sabotaged(&dir.join("artifacts"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert_eq!(stderr.matches("FAILED CELL").count(), 1, "{stderr}");
+    assert!(!stderr.contains("panicked at"), "{stderr}");
+
+    // After the quarantine has run, a panic outside it still prints:
+    // writing the artifacts under a regular file fails after the grid.
+    let file = dir.join("not-a-dir");
+    std::fs::write(&file, b"").expect("scratch file");
+    let out = sabotaged(&file.join("artifacts"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(101), "{stderr}");
+    assert_eq!(stderr.matches("panicked at").count(), 1, "{stderr}");
+    assert!(stderr.contains("creating"), "{stderr}");
+
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }

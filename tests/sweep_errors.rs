@@ -1,8 +1,8 @@
 //! Error-path coverage of the typed sweep failures: the scenario
 //! generators and sweep entry points must surface
-//! `SweepError::{InvalidScenario, SamplingExhausted, DisjointSets}` (and
-//! friends) as typed, displayable errors rather than panics or hangs —
-//! previously only their happy paths were exercised by integration tests.
+//! `SweepError::{InvalidScenario, DisjointSets}` (and friends) as typed,
+//! displayable errors rather than panics or hangs — previously only their
+//! happy paths were exercised by integration tests.
 
 use blind_rendezvous::prelude::*;
 use blind_rendezvous::sim::workload::{self, PairScenario};
@@ -26,33 +26,6 @@ fn coalition_parameter_errors_are_invalid_scenario() {
         assert!(msg.contains("invalid scenario parameters"), "{msg}");
         assert!(msg.contains("coalition needs"), "{msg}");
     }
-}
-
-#[test]
-fn exhausted_sampler_is_a_typed_error_not_a_hang() {
-    // Sparse regime (4 · private-per-side < usable spectrum) with a zero
-    // attempt budget: the budget stays zero through every backoff
-    // doubling, so the bounded sampler must give up after its fixed round
-    // count with the typed error — the regression fence against the
-    // former unbounded resample loop.
-    let err = workload::coalition_pair_with_budget(1 << 16, 5, 2, 11, Some(0))
-        .expect_err("a zero budget cannot sample anything");
-    assert_eq!(
-        err,
-        SweepError::SamplingExhausted {
-            attempts: 0,
-            rounds: workload::SAMPLER_BACKOFF_ROUNDS,
-        }
-    );
-    assert!(err.to_string().contains("gave up after 0 draws"), "{err}");
-    // A generous budget on the same parameters succeeds — the error above
-    // came from the budget, not from infeasibility.
-    let ok = workload::coalition_pair_with_budget(1 << 16, 5, 2, 11, Some(10_000))
-        .expect("feasible parameters with a real budget");
-    assert_eq!(
-        ok,
-        workload::coalition_pair(1 << 16, 5, 2, 11).expect("same scenario")
-    );
 }
 
 #[test]
@@ -124,13 +97,6 @@ fn every_variant_displays_and_is_a_std_error() {
         (
             SweepError::InvalidScenario { reason: "test" },
             "invalid scenario parameters: test",
-        ),
-        (
-            SweepError::SamplingExhausted {
-                attempts: 7,
-                rounds: 2,
-            },
-            "gave up after 7 draws across 2 backoff rounds",
         ),
     ];
     for (err, needle) in variants {

@@ -5,8 +5,7 @@
 //! and whole sweep grids — at every thread count, and a panicking task
 //! (expansion or child) must propagate instead of deadlocking the pool.
 //! `pool::quarantine` inverts that last clause: a quarantined task's panic
-//! is *recorded* in its result slot and the rest of the grid completes;
-//! `retry_with_backoff` rounds out the fault-tolerant orchestrator surface.
+//! is *recorded* in its result slot and the rest of the grid completes.
 
 use blind_rendezvous::sim::pool::{self, ParallelConfig, TaskPanic, TreePath};
 use blind_rendezvous::sim::sweep::{sweep_pair_grid, sweep_pair_ttr, SweepCell};
@@ -313,34 +312,4 @@ fn quarantined_task_panics_are_recorded_not_propagated() {
             }
         }
     }
-}
-
-#[test]
-fn retry_backoff_doubles_budgets_and_stops_on_first_ok() {
-    // Budgets must follow base · 2^round, and success must short-circuit.
-    let mut seen = Vec::new();
-    let out = pool::retry_with_backoff(5, 3, |round, budget| {
-        seen.push((round, budget));
-        if round == 2 {
-            Ok(budget)
-        } else {
-            Err("not yet")
-        }
-    });
-    assert_eq!(out, Ok(12));
-    assert_eq!(seen, vec![(0, 3), (1, 6), (2, 12)]);
-
-    // Exhaustion returns the last error with the number of rounds used.
-    let out: Result<(), _> = pool::retry_with_backoff(3, 1, |round, _| Err(round));
-    assert_eq!(out, Err((2, 3)));
-
-    // A zero base budget stays zero through every doubling, so it
-    // exhausts deterministically.
-    let mut budgets = Vec::new();
-    let out: Result<(), _> = pool::retry_with_backoff(4, 0, |_, budget| {
-        budgets.push(budget);
-        Err(())
-    });
-    assert_eq!(out, Err(((), 4)));
-    assert_eq!(budgets, vec![0, 0, 0, 0]);
 }
