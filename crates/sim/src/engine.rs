@@ -5,7 +5,7 @@
 //! # The shared block arena
 //!
 //! The engine advances time in blocks of `BLOCK` (512) slots. Each block
-//! is one barrier tree submission on the work-stealing orchestrator
+//! is one barrier tree submission on the shared-queue orchestrator
 //! ([`pool::run_tree_barrier`]), whatever the thread count — one thread
 //! runs both waves through its sequential path:
 //!

@@ -12,8 +12,8 @@
 //!   plane-eligible universes) and resolves all pending pairs over the
 //!   shared arena, with a density-adaptive bucket-scan resolution mode
 //!   for dense populations.
-//! * [`pool`] — the work-stealing parallel orchestrator: one scheduler
-//!   over the vendored crossbeam deques behind a flat task list
+//! * [`pool`] — the parallel orchestrator: one shared-queue scheduler
+//!   behind a flat task list
 //!   (`run_indexed`) and a barrier task tree (`run_tree_barrier`), which
 //!   both nested sweep grids and the arena engine's fill/resolve split
 //!   submit through, with bit-identical results at every thread count.

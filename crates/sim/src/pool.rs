@@ -1,21 +1,20 @@
-//! The work-stealing parallel orchestrator behind every sweep in the
-//! workspace.
+//! The parallel orchestrator behind every sweep in the workspace.
 //!
 //! Sweeps are embarrassingly parallel — a `(shift × seed)` or pair grid of
 //! independent kernel evaluations over shared read-only schedule tables —
 //! but their per-task cost is wildly uneven (a rendezvous can take 2 slots
 //! or 2 million, depending on the shift). Static chunking therefore leaves
-//! cores idle behind the unluckiest chunk. This module shards a task list
-//! into an injector queue plus per-worker deques (the vendored
-//! [`crossbeam::deque`] stand-in) and lets idle workers steal, so the
-//! longest task — not the longest *chunk* — bounds the critical path.
+//! cores idle behind the unluckiest chunk. This module puts each wave's
+//! tasks on one shared FIFO queue instead, and a worker claims the next
+//! task the moment it finishes its last, so the longest task — not the
+//! longest *chunk* — bounds the critical path.
 //!
 //! Two entry points run on one scheduler:
 //!
 //! * [`run_tree_barrier`] — a **task tree**: a forest of parent tasks, each
 //!   expanding *on a worker* into child tasks that are scheduled across
-//!   the same pool, so stealing crosses parent boundaries (a nested sweep
-//!   submits its whole grid at once instead of one pool per cell). An
+//!   the same pool, so load balancing crosses parent boundaries (a nested
+//!   sweep submits its whole grid at once instead of one pool per cell). An
 //!   **expansion barrier** separates the levels: every parent expands (and
 //!   publishes its owned output) before any child runs, and every child
 //!   reads all parent outputs through [`ParentOutputs`] — the
@@ -37,11 +36,11 @@
 //!   SplitMix64 mix of the experiment seed and the task's position — a
 //!   pure function of *which* task, never of *where* or *when* it ran.
 
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Once, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, Once, OnceLock};
 
 /// Thread-count policy for the parallel orchestrator.
 ///
@@ -95,11 +94,11 @@ impl ParallelConfig {
 /// Task-chunk size for sharding `items` uniform work items across
 /// `threads` workers.
 ///
-/// Aims at roughly four chunks per worker: fine enough that the
-/// work-stealing deques can rebalance an uneven tail, coarse enough to
-/// amortize queue traffic and per-task bookkeeping over many items. The
-/// result is clamped to `[1, 4096]` so tiny inputs still form tasks and
-/// huge inputs cannot collapse into a handful of unstealable chunks.
+/// Aims at roughly four chunks per worker: fine enough that the shared
+/// queue can rebalance an uneven tail, coarse enough to amortize queue
+/// traffic and per-task bookkeeping over many items. The result is
+/// clamped to `[1, 4096]` so tiny inputs still form tasks and huge inputs
+/// cannot collapse into a handful of chunks too few to balance.
 ///
 /// This is the one chunking policy of the workspace: pair lists, agent
 /// lists, and slot ranges are all sharded through it, replacing the
@@ -137,53 +136,28 @@ pub struct TreePath {
     pub child: usize,
 }
 
-/// One round of the work-stealing discipline: the worker's own deque,
-/// then a batch refill from the injector, then robbing a sibling,
-/// retrying lost races. Returns `None` only when every queue was
-/// observed empty with no steal in flight — at which point any remaining
-/// task is already in some worker's hands and will be finished by it.
-fn find_task<T>(
-    me: usize,
-    worker: &Worker<T>,
-    injector: &Injector<T>,
-    stealers: &[Stealer<T>],
-) -> Option<T> {
-    worker.pop().or_else(|| 'find: loop {
-        match injector.steal_batch_and_pop(worker) {
-            Steal::Success(t) => break 'find Some(t),
-            Steal::Retry => continue 'find,
-            Steal::Empty => {}
-        }
-        let mut retry = false;
-        for (other, stealer) in stealers.iter().enumerate() {
-            if other == me {
-                continue;
-            }
-            match stealer.steal() {
-                Steal::Success(t) => break 'find Some(t),
-                Steal::Retry => retry = true,
-                Steal::Empty => {}
-            }
-        }
-        if !retry {
-            break 'find None;
-        }
-    })
+/// Claims the next task of a wave's shared queue. Tasks run outside the
+/// lock, so a task panic never poisons it.
+fn claim<T>(queue: &Mutex<VecDeque<T>>) -> Option<T> {
+    queue.lock().expect("task queue lock poisoned").pop_front()
 }
 
 /// A panic-safe barrier arrival: the worker announces phase completion
-/// through [`Self::arrive`]; if it unwinds first, `Drop` announces for it
-/// so siblings spinning on the arrival count are released instead of
-/// deadlocking (the panic then propagates at scope join).
+/// through [`Self::arrive`]; if it unwinds first, `Drop` raises `unwound`
+/// and announces for it, so siblings spinning on the arrival count are
+/// released instead of deadlocking, and skip the child wave as the
+/// sequential reference would (the panic then propagates at join).
 struct Arrival<'a> {
     arrivals: &'a AtomicUsize,
+    unwound: &'a AtomicBool,
     armed: bool,
 }
 
 impl<'a> Arrival<'a> {
-    fn new(arrivals: &'a AtomicUsize) -> Self {
+    fn new(arrivals: &'a AtomicUsize, unwound: &'a AtomicBool) -> Self {
         Arrival {
             arrivals,
+            unwound,
             armed: true,
         }
     }
@@ -198,6 +172,11 @@ impl<'a> Arrival<'a> {
 
 impl Drop for Arrival<'_> {
     fn drop(&mut self) {
+        if self.armed {
+            // Sequenced before this arrival's release, so a sibling that
+            // acquires the full arrival count sees it.
+            self.unwound.store(true, Ordering::Relaxed);
+        }
         self.arrive();
     }
 }
@@ -231,9 +210,8 @@ impl<'a, PR> ParentOutputs<'a, PR> {
     /// # Panics
     ///
     /// Panics if `parent` is out of range. Inside a [`run_tree_barrier`]
-    /// child every in-range slot is published; an unpublished slot can
-    /// only be observed while a sibling parent's panic is already
-    /// propagating, and panics too.
+    /// child every in-range slot is published: no child runs after an
+    /// expansion panic.
     pub fn get(&self, parent: usize) -> &'a PR {
         self.slots[parent]
             .get()
@@ -252,10 +230,10 @@ impl<'a, PR> ParentOutputs<'a, PR> {
 }
 
 /// The one scheduler behind [`run_tree_barrier`] and [`run_indexed`]:
-/// `threads` workers, spawned once, first drain the parent queue
+/// `threads` workers, spawned once, first drain the shared parent queue
 /// (expanding each parent, queueing its children and publishing its
-/// output), meet at an atomic arrival barrier, then drain the child queue;
-/// results merge back in submission and path order.
+/// output), meet at an atomic arrival barrier, then drain the shared child
+/// queue; results merge back in submission and path order.
 ///
 /// The parents run on the caller's thread instead when the pool is one
 /// worker — the sequential reference: all expansions, then all children —
@@ -263,6 +241,10 @@ impl<'a, PR> ParentOutputs<'a, PR> {
 /// known before any worker exists, so the pool is clamped to their count
 /// (a one-cell sweep of four chunks spawns at most four workers, a
 /// childless one none).
+///
+/// A task panic reaches the caller with its own payload at every thread
+/// count: the first panicked worker's (in worker order) is re-raised after
+/// every worker has been joined.
 fn schedule<P, PR, C, R, E, F>(
     threads: usize,
     parents: Vec<P>,
@@ -284,106 +266,72 @@ where
             unreachable!("parent {pi} expanded twice");
         }
     };
+    let paths = |parent: usize, kids: Vec<C>| {
+        kids.into_iter()
+            .enumerate()
+            .map(move |(child, c)| (TreePath { parent, child }, c))
+    };
     let mut threads = threads;
     let mut queued = parents;
-    let mut expanded: Vec<Vec<C>> = Vec::new();
+    let mut expanded: Vec<(TreePath, C)> = Vec::new();
     if threads <= 1 || n_parents <= 1 {
         for (pi, p) in queued.drain(..).enumerate() {
             let (pr, kids) = expand(pi, p);
             publish(pi, pr);
-            expanded.push(kids);
+            expanded.extend(paths(pi, kids));
         }
-        threads = threads.min(expanded.iter().map(Vec::len).sum());
+        threads = threads.min(expanded.len());
     }
     let outputs = ParentOutputs { slots: &slots };
 
     let mut child_rows: Vec<(TreePath, R)> = if threads <= 1 {
-        let mut rows = Vec::new();
-        for (pi, kids) in expanded.into_iter().enumerate() {
-            for (ci, c) in kids.into_iter().enumerate() {
-                let path = TreePath {
-                    parent: pi,
-                    child: ci,
-                };
-                rows.push((path, child(path, c, outputs)));
-            }
-        }
-        rows
+        expanded
+            .into_iter()
+            .map(|(path, c)| (path, child(path, c, outputs)))
+            .collect()
     } else {
-        let inj_p = Injector::new();
-        for task in queued.into_iter().enumerate() {
-            inj_p.push(task);
-        }
-        let inj_c: Injector<(TreePath, C)> = Injector::new();
-        for (pi, kids) in expanded.into_iter().enumerate() {
-            for (ci, c) in kids.into_iter().enumerate() {
-                inj_c.push((
-                    TreePath {
-                        parent: pi,
-                        child: ci,
-                    },
-                    c,
-                ));
-            }
-        }
-        let workers_p: Vec<Worker<(usize, P)>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-        let stealers_p: Vec<Stealer<(usize, P)>> = workers_p.iter().map(Worker::stealer).collect();
-        let workers_c: Vec<Worker<(TreePath, C)>> =
-            (0..threads).map(|_| Worker::new_fifo()).collect();
-        let stealers_c: Vec<Stealer<(TreePath, C)>> =
-            workers_c.iter().map(Worker::stealer).collect();
+        let parent_queue = Mutex::new(VecDeque::from_iter(queued.into_iter().enumerate()));
+        let child_queue = Mutex::new(VecDeque::from(expanded));
         let arrivals = AtomicUsize::new(0);
-
-        crossbeam::scope(|scope| {
-            let (inj_p, inj_c) = (&inj_p, &inj_c);
-            let (stealers_p, stealers_c) = (&stealers_p, &stealers_c);
-            let arrivals = &arrivals;
-            let (expand, child, publish) = (&expand, &child, &publish);
-            let handles: Vec<_> = workers_p
-                .into_iter()
-                .zip(workers_c)
-                .enumerate()
-                .map(|(me, (wp, wc))| {
-                    scope.spawn(move |_| {
-                        let mut arrival = Arrival::new(arrivals);
-                        while let Some((pi, p)) = find_task(me, &wp, inj_p, stealers_p) {
-                            let (pr, kids) = expand(pi, p);
-                            for (ci, c) in kids.into_iter().enumerate() {
-                                inj_c.push((
-                                    TreePath {
-                                        parent: pi,
-                                        child: ci,
-                                    },
-                                    c,
-                                ));
-                            }
-                            publish(pi, pr);
-                        }
-                        // A worker arrives only once the parent queues
-                        // were observed drained and it holds no task, so
-                        // `arrivals == threads` certifies every expansion
-                        // has completed, pushed its children, and
-                        // published its output. Expansions are short (one
-                        // block of bulk work), so a yielding spin outlasts
-                        // nothing worth parking for.
-                        arrival.arrive();
-                        while arrivals.load(Ordering::Acquire) < threads {
-                            std::thread::yield_now();
-                        }
-                        let mut child_out: Vec<(TreePath, R)> = Vec::new();
-                        while let Some((path, c)) = find_task(me, &wc, inj_c, stealers_c) {
-                            child_out.push((path, child(path, c, outputs)));
-                        }
-                        child_out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("pool worker panicked"))
-                .collect()
+        let unwound = AtomicBool::new(false);
+        let worker = || {
+            let mut arrival = Arrival::new(&arrivals, &unwound);
+            while let Some((pi, p)) = claim(&parent_queue) {
+                let (pr, kids) = expand(pi, p);
+                child_queue
+                    .lock()
+                    .expect("task queue lock poisoned")
+                    .extend(paths(pi, kids));
+                publish(pi, pr);
+            }
+            // A worker arrives only once it observed the parent queue
+            // drained and holds no parent, so `arrivals == threads`
+            // certifies every expansion has completed, queued its children
+            // and published its output. Expansions are short (one block of
+            // bulk work), so a yielding spin outlasts nothing worth
+            // parking for.
+            arrival.arrive();
+            while arrivals.load(Ordering::Acquire) < threads {
+                std::thread::yield_now();
+            }
+            let mut rows: Vec<(TreePath, R)> = Vec::new();
+            if !unwound.load(Ordering::Relaxed) {
+                while let Some((path, c)) = claim(&child_queue) {
+                    rows.push((path, child(path, c, outputs)));
+                }
+            }
+            rows
+        };
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+            // Join every worker, then re-raise the first panic (in worker
+            // order) with its own payload.
+            let joined: Vec<_> = workers.into_iter().map(|w| w.join()).collect();
+            match joined.into_iter().collect::<Result<Vec<_>, _>>() {
+                Ok(rows) => rows.into_iter().flatten().collect(),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
         })
-        .expect("crossbeam scope")
     };
 
     child_rows.sort_unstable_by_key(|&(path, _)| (path.parent, path.child));
@@ -402,7 +350,7 @@ where
     out
 }
 
-/// Runs `f` over every `(index, task)` on a work-stealing thread pool and
+/// Runs `f` over every `(index, task)` on a shared-queue thread pool and
 /// returns the results **in task order**, regardless of thread count or
 /// scheduling.
 ///
@@ -418,7 +366,7 @@ where
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics (the task panic propagates).
+/// Panics if a task panics, with that task's payload.
 pub fn run_indexed<T, R, F>(tasks: Vec<T>, cfg: &ParallelConfig, f: F) -> Vec<R>
 where
     T: Send,
@@ -437,12 +385,12 @@ where
     .collect()
 }
 
-/// Runs a **task tree** on one work-stealing pool: a forest of `parents`,
-/// each expanded by `expand` *on a worker* into an output value plus a
-/// list of child tasks, every child evaluated by `child` on the same set
-/// of workers — so work-stealing crosses parent boundaries, and a nested
-/// sweep can submit its entire (scenario × shift/seed) grid as one tree
-/// instead of paying one pool (and one serializing join) per cell.
+/// Runs a **task tree** on one pool: a forest of `parents`, each expanded
+/// by `expand` *on a worker* into an output value plus a list of child
+/// tasks, every child evaluated by `child` on the same set of workers — so
+/// load balancing crosses parent boundaries, and a nested sweep can submit
+/// its entire (scenario × shift/seed) grid as one tree instead of paying
+/// one pool (and one serializing join) per cell.
 ///
 /// An **expansion barrier** separates the levels: every parent expands —
 /// and its output value is published — before any child runs, and every
@@ -450,12 +398,13 @@ where
 /// alongside its task. This is the producer/consumer bulk step of the
 /// shared-arena engines: fill parents return their block's channel rows
 /// as owned values, the barrier publishes them, resolve children read any
-/// row they need. Both waves work-steal on **one** set of worker threads
-/// spawned once — the barrier is an atomic arrival count, not a join — so
-/// a caller iterating fill/resolve steps per block pays one spawn per
-/// block, not two. The arrival count's release/acquire ordering (and the
-/// `OnceLock` publication) makes every expansion-side value visible to
-/// every child. Children that need no parent output ignore the window.
+/// row they need. Both waves drain their shared queue on **one** set of
+/// worker threads spawned once — the barrier is an atomic arrival count,
+/// not a join — so a caller iterating fill/resolve steps per block pays
+/// one spawn per block, not two. The arrival count's release/acquire
+/// ordering (and the `OnceLock` publication) makes every expansion-side
+/// value visible to every child. Children that need no parent output
+/// ignore the window.
 ///
 /// Returns, for every parent in **submission order**, its expansion
 /// output and its children's results in **child order** — scheduling is
@@ -469,9 +418,9 @@ where
 ///
 /// # Panics
 ///
-/// Panics if a worker panics (the task panic propagates at scope join; an
-/// expansion panic releases the barrier via a drop guard rather than
-/// deadlocking the siblings).
+/// Panics if a task panics, with that task's payload. An expansion panic
+/// releases the barrier via a drop guard rather than deadlocking the
+/// siblings, and no child runs after it.
 pub fn run_tree_barrier<P, PR, C, R, E, F>(
     parents: Vec<P>,
     cfg: &ParallelConfig,
@@ -570,6 +519,7 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn results_come_back_in_task_order() {
@@ -602,17 +552,28 @@ mod tests {
 
     #[test]
     fn uneven_tasks_balance_across_workers() {
-        // One task 1000× heavier than the rest: stealing must still finish
-        // everything and keep order.
-        let weights: Vec<u64> = (0..64)
-            .map(|i| if i == 0 { 100_000 } else { 100 })
-            .collect();
-        let out = run_indexed(weights.clone(), &ParallelConfig::with_threads(4), |_, w| {
-            (0..w).map(std::hint::black_box).sum::<u64>()
+        // Task 0 holds its worker until the other 63 tasks have finished,
+        // so the run completes only if the second worker drains the whole
+        // queue behind it.
+        let done = AtomicUsize::new(0);
+        let tasks: Vec<u64> = (0..64).collect();
+        let out = run_indexed(tasks.clone(), &ParallelConfig::with_threads(2), |i, t| {
+            if i == 0 {
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while done.load(Ordering::Acquire) < 63 {
+                    assert!(
+                        Instant::now() < deadline,
+                        "the idle worker left tasks queued"
+                    );
+                    std::thread::yield_now();
+                }
+            } else {
+                done.fetch_add(1, Ordering::AcqRel);
+            }
+            t * 3
         });
-        for (w, got) in weights.iter().zip(&out) {
-            assert_eq!(*got, w * (w - 1) / 2);
-        }
+        let expected: Vec<u64> = tasks.iter().map(|t| t * 3).collect();
+        assert_eq!(out, expected);
     }
 
     #[test]
@@ -639,7 +600,7 @@ mod tests {
         assert_eq!(chunk_size(1, 8), 1);
         assert_eq!(chunk_size(64, 2), 8);
         assert_eq!(chunk_size(37_000, 8), 1157);
-        // Huge inputs stay stealable…
+        // Huge inputs still split into many chunks…
         assert_eq!(chunk_size(10_000_000, 8), 4096);
         // …and a zero thread count cannot divide by zero.
         assert_eq!(chunk_size(100, 0), 25);

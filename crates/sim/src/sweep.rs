@@ -1,7 +1,7 @@
 //! Pairwise time-to-rendezvous sweeps — the engine behind the Table 1 and
 //! lower-bound experiments.
 //!
-//! Sweeps are **task-tree submissions** onto the work-stealing
+//! Sweeps are **task-tree submissions** onto the shared-queue
 //! orchestrator ([`crate::pool::run_tree_barrier`]): each `(algorithm,
 //! scenario)` cell is a parent task whose expansion validates the cell and
 //! builds its one sweep plan — the shift list plus schedules built and
@@ -12,7 +12,7 @@
 //! in how they fold a cell's per-sample TTRs (a [`Summary`] for
 //! [`PairSweep`], the worst witness for [`LowerBoundSweep`]).
 //! [`sweep_pair_grid`] / [`sweep_lower_grid`] submit a whole grid of cells
-//! as one tree — children of different cells steal from one another, so a
+//! as one tree — children of different cells share one queue, so a
 //! slow cell no longer serializes an artifact run — while
 //! [`sweep_pair_ttr`] / [`sweep_lower_bound`] are the single-cell special
 //! cases. Every sample's randomness derives from its grid position
@@ -351,7 +351,7 @@ fn plan_chunks(plan: &Arc<SweepPlan>, threads: usize) -> Vec<(Arc<SweepPlan>, Ra
 /// Sweeps a whole grid of cells as **one task-tree submission**: every
 /// cell is a parent task that expands (on a worker) into its validated
 /// [`SweepPlan`] (built by `plan`) plus `(shift × seed)` chunk children,
-/// all children work-steal across the one shared pool regardless of which
+/// all children are claimed from one shared queue regardless of which
 /// cell they belong to, and `finish` folds each cell's per-sample
 /// outcomes (in sample order) in submission order. A cell whose plan
 /// fails is an `Err` in its own slot.
@@ -385,8 +385,8 @@ where
 }
 
 /// Sweeps a whole grid of pair cells as **one task-tree submission** —
-/// cells are parents, `(shift × seed)` chunks are children, and stealing
-/// crosses cells.
+/// cells are parents, `(shift × seed)` chunks are children, and load
+/// balancing crosses cells.
 ///
 /// Equivalent to calling [`sweep_pair_ttr`] per cell in order — the
 /// sequential outer loop the artifact pipelines used to run — but the
@@ -457,7 +457,7 @@ pub fn sweep_pair_grid(
 /// against throughout the test suite.
 ///
 /// Schedule construction is hoisted out of the `(shift × seed)` grid and
-/// shared read-only across the work-stealing workers (see
+/// shared read-only across the pool's workers (see
 /// `SweepPlan::new`).
 ///
 /// # Errors
@@ -600,7 +600,7 @@ pub struct LowerCell {
 /// Sweeps a whole lower-bound grid as one task-tree submission — the
 /// [`sweep_pair_grid`] counterpart behind the `repro lower` pipeline's
 /// measurement cells. Cells are parents, shift chunks are children, and
-/// stealing crosses cells.
+/// load balancing crosses cells.
 pub fn sweep_lower_grid(
     cells: Vec<LowerCell>,
     parallel: &ParallelConfig,

@@ -493,7 +493,7 @@ const TREE_THREADS: usize = 8;
 /// swept twice at [`TREE_THREADS`] requested workers — once as the former
 /// **sequential outer loop**, one per-cell pool submission per cell, and
 /// once as **one task-tree submission** where every cell is a parent and
-/// all cells' chunk children steal from one shared pool. The two drivers
+/// all cells' chunk children share one queue on one pool. The two drivers
 /// are asserted bit-identical before anything is timed; the gated number
 /// is their wall-clock ratio.
 fn tree_suite(smoke: bool) -> Suite {
@@ -567,7 +567,7 @@ fn tree_suite(smoke: bool) -> Suite {
             Value::from("grid cells swept per second (whole-grid wall clock)"),
         ),
         // The measured ratio is hardware-dependent: the tree's wall-clock
-        // win comes from cross-cell stealing, so single-core hosts only
+        // win comes from cross-cell load balancing, so single-core hosts only
         // see the spawn-amortization floor. `host_threads` records what
         // the machine could actually overlap.
         (

@@ -2,7 +2,7 @@
 //! driver: [`table1`] (measured TTR vs proven upper bounds), [`lower`]
 //! (the Section 4 lower-bound harnesses and the sandwich invariant), and
 //! [`sdp`] (the appendix's one-round SDP relaxation) — all three sharing
-//! the [`crate::report`] artifact schema and the work-stealing
+//! the [`crate::report`] artifact schema and the shared-queue
 //! orchestrator, so every artifact is bit-identical at any worker thread
 //! count.
 //!
@@ -10,7 +10,7 @@
 //! submission** (`rdv_sim::sweep_pair_grid` / `sweep_lower_grid`): every
 //! (algorithm × timing × scenario × n) cell is a parent task, its
 //! `(shift × seed)` chunks are children, and the chunks of *all* cells
-//! work-steal on one pool — so a slow cell no longer serializes an
+//! share one queue on one pool — so a slow cell no longer serializes an
 //! artifact run the way the former sequential per-cell loop did.
 //!
 //! Living in the library (not the `repro` binary) so the test suite can
@@ -161,7 +161,7 @@ pub fn table1_cells(tier: Tier, threads: usize) -> Vec<SweepCell> {
 
 /// The Table 1 reproduction pipeline: all eight algorithms ×
 /// sync/async × symmetric/asymmetric across a universe-size ladder, every
-/// cell swept on the work-stealing orchestrator and its measured worst
+/// cell swept on the shared-queue orchestrator and its measured worst
 /// case checked against the Theorem 3 / §3.2 bounds; plus Theorem 1's
 /// pair-schedule period against n.
 pub mod table1 {
@@ -269,7 +269,7 @@ pub mod table1 {
         let k = GRID_K;
         // The grid is ONE task-tree submission: cells are parents, their
         // (shift × seed) chunks are children, and the chunks of all cells
-        // steal from one another on the shared pool.
+        // are claimed from one shared queue.
         let mut sweeps =
             sweep_pair_grid(table1_cells(tier, threads), &ParallelConfig { threads }).into_iter();
         let mut artifact = Artifact::new("table1", tier);
@@ -418,7 +418,7 @@ pub mod lower {
 
     /// The measurement grid: one lower-bound cell per `table1` cell, the
     /// whole grid one task-tree submission (cells are parents, shift
-    /// chunks are children, stealing crosses cells).
+    /// chunks are children, load balancing crosses cells).
     fn grid_cells(artifact: &mut Artifact, threads: usize) -> Vec<Value> {
         let (ns, _, _) = grid_dimensions(artifact.tier());
         let (max_exhaustive, sampled) = shift_dimensions(artifact.tier());
@@ -847,7 +847,7 @@ pub mod lower {
 /// The SDP pipeline: the appendix's one-round 0.439-approximation,
 /// re-solved on the named graph families plus seeded random instances,
 /// with exact optima and the 0.25 random baseline — instances sharded
-/// onto the work-stealing orchestrator.
+/// onto the shared-queue orchestrator.
 pub mod sdp {
     use super::*;
     use rdv_sdp::{exact_max_in_pairs, random_orientation_value, solve, OrientGraph, SdpConfig};
@@ -1341,7 +1341,7 @@ pub mod faults {
              and `departed` misses no horizon could fix).\n\n\
              Faults are drawn from seeded SplitMix64 streams (profile '{profile_name}':\n\
              epoch {epoch} slots, outage {o}‰, churn {c}‰) and sweeps ran on the\n\
-             quarantined work-stealing orchestrator; results (and this file) are\n\
+             quarantined shared-queue orchestrator; results (and this file) are\n\
              bit-identical at any worker thread count.\n\n\
              | algorithm | outage ‰ | churn ‰ | agents | pairs | met | met clean | \
              missed@horizon | departed | worst TTR |\n\

@@ -211,7 +211,7 @@ impl Artifact {
              Regenerate with `cargo run --release --bin repro -- --{tier} {pipeline}`\n\
              (drop the tier flag for the full paper-scale grid). Machine-readable\n\
              twin: `{stem}.json`. {gate_note}\n\n\
-             Sweeps ran on the work-stealing orchestrator; results (and this\n\
+             Sweeps ran on the shared-queue orchestrator; results (and this\n\
              file) are bit-identical at any worker thread count.\n\n"
         )
     }

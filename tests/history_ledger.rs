@@ -225,15 +225,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Hostile ledger bytes never abort the parser: arbitrary bytes, a
-    /// truncated committed line, and a committed line with one byte
-    /// replaced each yield an entry or a skipped line for every non-blank
-    /// line, never a panic.
+    /// truncated committed line, a committed line with one byte replaced,
+    /// and a committed line nested past the parser's depth limit each
+    /// yield an entry or a skipped line for every non-blank line, never a
+    /// panic or a stack overflow.
     #[test]
     fn hostile_ledger_bytes_are_entries_or_skipped_lines(
         noise in proptest::collection::vec(0u8..=255, 0..96),
         pick in 0usize..64,
         cut in 0usize..1 << 16,
         flip in (0usize..1 << 16, 0u8..=255),
+        depth in serde_json::MAX_DEPTH + 1..=4 * serde_json::MAX_DEPTH,
     ) {
         let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
         let committed = std::fs::read_to_string(root.join("HISTORY.jsonl")).expect("ledger");
@@ -252,6 +254,13 @@ proptest! {
         // A proper prefix of a JSON object never parses.
         let truncated = history::parse(&String::from_utf8_lossy(&line[..cut]));
         prop_assert_eq!(truncated.entries.len(), usize::from(cut == line.len()));
+        // Well-formed JSON nested deeper than the limit is one skipped line.
+        let line = String::from_utf8_lossy(line);
+        let nested = format!("{}{line}{}", "[".repeat(depth - 1), "]".repeat(depth - 1));
+        let ledger = history::parse(&nested);
+        prop_assert_eq!(ledger.entries.len(), 0);
+        prop_assert_eq!(ledger.skipped.len(), 1);
+        prop_assert!(ledger.skipped[0].error.contains("nesting deeper than"));
     }
 }
 

@@ -1,4 +1,4 @@
-//! Determinism contract of the work-stealing parallel orchestrator:
+//! Determinism contract of the shared-queue parallel orchestrator:
 //! sweeps and simulations must be **bit-identical** at 1, 2, and 8 worker
 //! threads, and the task-indexed RNG stream derivation must be
 //! collision-free — the two properties that make parallel reproduction

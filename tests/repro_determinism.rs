@@ -88,7 +88,7 @@ fn sdp_pipeline_is_thread_count_invariant_and_matches_committed() {
 fn table1_pipeline_is_thread_count_invariant_and_matches_committed() {
     // The whole grid now routes through one task-tree submission
     // (`sweep_pair_grid`): the 1-thread run is the literal sequential
-    // nested loop, the 8-thread run steals chunks across cells — both
+    // nested loop, the 8-thread run balances chunks across cells — both
     // must serialize byte-identically, and match the committed artifact,
     // pinning that the tree refactor changed scheduling, not results.
     let single = pipelines::table1::run(Tier::Smoke, 1);

@@ -3,7 +3,8 @@
 //! **indistinguishable** from the sequential two-nested-loops reference
 //! for every tree shape — including empty parents, single-child parents,
 //! and whole sweep grids — at every thread count, and a panicking task
-//! (expansion or child) must propagate instead of deadlocking the pool.
+//! (expansion or child) must propagate, with its own payload, instead of
+//! deadlocking the pool.
 //! `pool::quarantine` inverts that last clause: a quarantined task's panic
 //! is *recorded* in its result slot and the rest of the grid completes.
 
@@ -96,70 +97,86 @@ proptest! {
     }
 }
 
+/// The string payload of a caught panic (what `panic!("…")` carries).
+fn payload_str(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("<opaque payload>")
+}
+
 #[test]
 fn child_panic_propagates_without_deadlock() {
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        pool::run_tree_barrier(
-            (0..16u64).collect::<Vec<_>>(),
-            &ParallelConfig::with_threads(4),
-            |_, p| ((), vec![p; 4]),
-            |path: TreePath, c: u64, _outputs: pool::ParentOutputs<'_, ()>| {
-                if path.parent == 7 && path.child == 2 {
-                    panic!("child bomb");
-                }
-                c
-            },
-        );
-    }));
-    assert!(
-        result.is_err(),
-        "the child panic must propagate to the caller"
-    );
+    for threads in [1usize, 2, 8] {
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool::run_tree_barrier(
+                (0..16u64).collect::<Vec<_>>(),
+                &ParallelConfig::with_threads(threads),
+                |_, p| ((), vec![p; 4]),
+                |path: TreePath, c: u64, _outputs: pool::ParentOutputs<'_, ()>| {
+                    if path.parent == 7 && path.child == 2 {
+                        panic!("child bomb");
+                    }
+                    c
+                },
+            );
+        }));
+        let payload = result.expect_err("the child panic must propagate to the caller");
+        assert_eq!(payload_str(&*payload), "child bomb", "threads = {threads}");
+    }
 }
 
 #[test]
 fn expand_panic_propagates_without_deadlock() {
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        pool::run_tree_barrier(
-            (0..16u64).collect::<Vec<_>>(),
-            &ParallelConfig::with_threads(4),
-            |pi, p| {
-                if pi == 11 {
-                    panic!("expansion bomb");
-                }
-                ((), vec![p])
-            },
-            |_path: TreePath, c: u64, _outputs: pool::ParentOutputs<'_, ()>| c,
+    for threads in [1usize, 2, 8] {
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool::run_tree_barrier(
+                (0..16u64).collect::<Vec<_>>(),
+                &ParallelConfig::with_threads(threads),
+                |pi, p| {
+                    if pi == 11 {
+                        panic!("expansion bomb");
+                    }
+                    ((), vec![p])
+                },
+                |_path: TreePath, c: u64, _outputs: pool::ParentOutputs<'_, ()>| c,
+            );
+        }));
+        let payload = result.expect_err("the expansion panic must propagate to the caller");
+        assert_eq!(
+            payload_str(&*payload),
+            "expansion bomb",
+            "threads = {threads}"
         );
-    }));
-    assert!(
-        result.is_err(),
-        "the expansion panic must propagate to the caller"
-    );
+    }
 }
 
 #[test]
 fn barrier_expansion_panic_releases_the_barrier() {
     // Mirrors the barrier tests in `pool`: a fill-phase worker dying must
     // release the arrival barrier (drop-guard arrival) so its siblings
-    // finish and the panic surfaces at join instead of a deadlock.
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        pool::run_tree_barrier(
-            (0..8u64).collect::<Vec<_>>(),
-            &ParallelConfig::with_threads(4),
-            |pi, p| {
-                if pi == 3 {
-                    panic!("fill bomb");
-                }
-                (p, vec![p])
-            },
-            |_path: TreePath, c: u64, _outputs: pool::ParentOutputs<'_, u64>| c,
-        );
-    }));
-    assert!(
-        result.is_err(),
-        "the fill-phase panic must propagate to the caller"
-    );
+    // finish instead of deadlocking. As in the sequential reference, no
+    // child runs after it — every child here reads the dead parent's
+    // unpublished output and would panic with a message of its own — so
+    // the caller catches the fill panic's payload.
+    for threads in [1usize, 2, 8] {
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool::run_tree_barrier(
+                (0..8u64).collect::<Vec<_>>(),
+                &ParallelConfig::with_threads(threads),
+                |pi, p| {
+                    if pi == 3 {
+                        panic!("fill bomb");
+                    }
+                    (p, vec![p])
+                },
+                |_path: TreePath, c: u64, outputs: pool::ParentOutputs<'_, u64>| c + outputs.get(3),
+            );
+        }));
+        let payload = result.expect_err("the fill-phase panic must propagate to the caller");
+        assert_eq!(payload_str(&*payload), "fill bomb", "threads = {threads}");
+    }
 }
 
 #[test]
