@@ -7,7 +7,6 @@ use rdv_core::fault::FaultPlan;
 use rdv_core::general::GeneralSchedule;
 use rdv_core::schedule::Schedule;
 use rdv_core::symmetric::SymmetricWrapped;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A schedule boxed for uniform handling across algorithms.
@@ -32,7 +31,7 @@ pub struct AgentCtx {
 }
 
 /// Every algorithm the harness can sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Theorem 3: the paper's `O(|A||B| log log n)` construction.
     Ours,

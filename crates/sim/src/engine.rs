@@ -311,11 +311,6 @@ impl MeetingReport {
         self.missed.is_empty()
     }
 
-    /// The missed pairs themselves, cause-agnostic, in sorted order.
-    pub fn missed_pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.missed.iter().map(|m| m.pair)
-    }
-
     /// How many missed pairs carry `cause`.
     pub fn missed_with_cause(&self, cause: MissCause) -> usize {
         self.missed.iter().filter(|m| m.cause == cause).count()

@@ -1,7 +1,7 @@
 //! Summary statistics and growth-exponent fitting.
 
 /// Summary of a sample of times-to-rendezvous.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,

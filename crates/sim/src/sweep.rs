@@ -27,14 +27,13 @@ use crate::workload::PairScenario;
 use rdv_core::channel::ChannelSetError;
 use rdv_core::compiled::PreparedSchedule;
 use rdv_core::verify;
-use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
 /// Sweep parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepConfig {
     /// Number of relative wake-up shifts per scenario.
     pub shifts: u64,
@@ -131,7 +130,7 @@ impl From<ChannelSetError> for SweepError {
 }
 
 /// The result of sweeping one `(algorithm, scenario)` cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PairSweep {
     /// The algorithm.
     pub algorithm: Algorithm,

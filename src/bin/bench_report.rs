@@ -111,15 +111,8 @@ struct Suite {
 
 // ---------------------------------------------------------------- kernel
 
-struct KernelCell {
-    n: u64,
-    swept_slots: u64,
-    naive_slots_per_sec: f64,
-    block_slots_per_sec: f64,
-    speedup: f64,
-}
-
-fn measure_kernel(n: u64, smoke: bool) -> KernelCell {
+/// Times the naive and block kernels on one `n` and returns its scenario.
+fn measure_kernel(n: u64, smoke: bool) -> Value {
     let k = 4usize;
     let sc = workload::adversarial_overlap_one(n, k, k).expect("parameters fit");
     let sa = GeneralSchedule::asynchronous(n, sc.a.clone()).expect("valid");
@@ -155,26 +148,28 @@ fn measure_kernel(n: u64, smoke: bool) -> KernelCell {
         min_secs,
         min_reps,
     );
-
-    KernelCell {
-        n,
-        swept_slots,
-        naive_slots_per_sec: swept_slots as f64 / naive_secs,
-        block_slots_per_sec: swept_slots as f64 / block_secs,
-        speedup: naive_secs / block_secs,
-    }
+    let (naive, block) = (
+        swept_slots as f64 / naive_secs,
+        swept_slots as f64 / block_secs,
+    );
+    let speedup = naive_secs / block_secs;
+    println!(
+        "kernel    n={n:<6} slots/sweep={swept_slots:<10} naive={naive:>12.0} slots/s   block={block:>14.0} slots/s   speedup={speedup:.1}x"
+    );
+    Value::object([
+        ("n", Value::from(n)),
+        ("swept_slots", Value::from(swept_slots)),
+        ("naive_slots_per_sec", Value::from(naive)),
+        ("block_slots_per_sec", Value::from(block)),
+        ("speedup", Value::from(speedup)),
+    ])
 }
 
 fn kernel_suite(smoke: bool) -> Suite {
-    let mut cells = Vec::new();
-    for n in [16u64, 64, 256] {
-        let cell = measure_kernel(n, smoke);
-        println!(
-            "kernel    n={:<6} slots/sweep={:<10} naive={:>12.0} slots/s   block={:>14.0} slots/s   speedup={:.1}x",
-            cell.n, cell.swept_slots, cell.naive_slots_per_sec, cell.block_slots_per_sec, cell.speedup
-        );
-        cells.push(cell);
-    }
+    let scenarios = [16u64, 64, 256]
+        .into_iter()
+        .map(|n| measure_kernel(n, smoke))
+        .collect();
     let report = Value::object([
         ("bench", Value::from("worst_async_ttr_exhaustive")),
         (
@@ -182,23 +177,7 @@ fn kernel_suite(smoke: bool) -> Suite {
             Value::from("adversarial overlap-one pair, |A|=|B|=4, GeneralSchedule (Thm 3)"),
         ),
         ("unit", Value::from("schedule-evaluation slots per second")),
-        (
-            "scenarios",
-            Value::Array(
-                cells
-                    .iter()
-                    .map(|c| {
-                        Value::object([
-                            ("n", Value::from(c.n)),
-                            ("swept_slots", Value::from(c.swept_slots)),
-                            ("naive_slots_per_sec", Value::from(c.naive_slots_per_sec)),
-                            ("block_slots_per_sec", Value::from(c.block_slots_per_sec)),
-                            ("speedup", Value::from(c.speedup)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("scenarios", Value::Array(scenarios)),
     ]);
     Suite {
         bench: "worst_async_ttr_exhaustive",
@@ -208,23 +187,6 @@ fn kernel_suite(smoke: bool) -> Suite {
 }
 
 // ------------------------------------------------------------- multiuser
-
-struct MultiuserCell {
-    n_agents: usize,
-    universe: u64,
-    k: usize,
-    horizon: u64,
-    overlapping_pairs: usize,
-    missed_pairs: usize,
-    pair_slots: u64,
-    arena_secs: f64,
-    arena_pair_slots_per_sec: f64,
-    per_pair_slots_per_sec: Option<f64>,
-    speedup: Option<f64>,
-    bitplane_pair_slots_per_sec: Option<f64>,
-    slotwise_pair_slots_per_sec: Option<f64>,
-    bitplane_speedup: Option<f64>,
-}
 
 /// The semantic work of a run, identical for every engine: per
 /// overlapping pair, the slots from the later wake to its first meeting
@@ -248,6 +210,10 @@ fn pair_slots(sim: &Simulation, report: &MeetingReport) -> u64 {
     met + missed
 }
 
+/// Times the arena engine on one clustered population and returns its
+/// scenario. `with_per_pair` cells also time the per-pair reference and
+/// the bit-plane kernel against its slotwise twin; the other cells leave
+/// those columns null.
 fn measure_multiuser(
     n_agents: usize,
     universe: u64,
@@ -255,51 +221,73 @@ fn measure_multiuser(
     horizon: u64,
     with_per_pair: bool,
     smoke: bool,
-) -> MultiuserCell {
+) -> Value {
     let agents = workload::clustered_agents(Algorithm::Ours, universe, k, n_agents, 11, 256);
     let sim = Simulation::new(agents);
     let auto = EngineConfig::default();
     let report = sim.run_engine(horizon, &auto);
-    // Both resolution modes must agree before anything is timed.
-    for mode in [ResolveMode::PairMajor, ResolveMode::BucketScan] {
-        let forced = EngineConfig {
-            parallel: ParallelConfig::default(),
-            mode,
-            plane: PlanePolicy::Auto,
-            faults: None,
-        };
+    // The bit-plane pair kernel is timed against its slotwise twin, both
+    // forced pair-major so the ratio isolates the row layout (Auto mode
+    // may pick the bucket scan, which is slotwise by construction).
+    let planes = EngineConfig {
+        mode: ResolveMode::PairMajor,
+        plane: PlanePolicy::Auto,
+        ..EngineConfig::default()
+    };
+    let slotwise = EngineConfig {
+        plane: PlanePolicy::Slotwise,
+        ..planes
+    };
+    let bucket = EngineConfig {
+        mode: ResolveMode::BucketScan,
+        ..planes
+    };
+    // Every forced configuration the cell runs must reproduce the Auto
+    // report before anything is timed. Only the cells that time the
+    // slotwise layout run it: on the 10k-agent cell it alone would cost
+    // seconds.
+    let forced = [
+        ("pair-major", &planes),
+        ("bucket-scan", &bucket),
+        ("slotwise", &slotwise),
+    ];
+    for (name, forced) in forced.into_iter().take(if with_per_pair { 3 } else { 2 }) {
         assert_eq!(
             report,
-            sim.run_engine(horizon, &forced),
-            "arena modes diverged at n_agents={n_agents}"
+            sim.run_engine(horizon, forced),
+            "{name} engine diverged at n_agents={n_agents}"
         );
     }
     let slots = pair_slots(&sim, &report);
-
-    let arena_secs = if with_per_pair {
-        let (min_secs, min_reps) = if smoke { (0.05, 1) } else { (0.2, 3) };
+    let pairs = report.first_meeting.len() + report.missed.len();
+    let (min_secs, min_reps) = if smoke { (0.05, 1) } else { (0.2, 3) };
+    let time_engine = |cfg: &EngineConfig| {
         time_reps(
             || {
-                std::hint::black_box(sim.run_engine(horizon, &auto));
+                std::hint::black_box(sim.run_engine(horizon, cfg));
             },
             min_secs,
             min_reps,
         )
+    };
+
+    let arena_secs = if with_per_pair {
+        time_engine(&auto)
     } else {
         // Large populations: one run is long and deterministic enough.
         time_once(|| {
             std::hint::black_box(sim.run_engine(horizon, &auto));
         })
     };
-
-    let per_pair_secs = with_per_pair.then(|| {
+    let arena = slots as f64 / arena_secs;
+    let [per_pair, speedup, bitplane, slotwise_rate, bitplane_speedup] = if with_per_pair {
         let cfg = ParallelConfig::default();
         assert_eq!(
             report,
             sim.run_per_pair_reference(horizon, &cfg),
             "per-pair engine diverged at n_agents={n_agents}"
         );
-        if smoke {
+        let per_pair_secs = if smoke {
             time_once(|| {
                 std::hint::black_box(sim.run_per_pair_reference(horizon, &cfg));
             })
@@ -311,72 +299,42 @@ fn measure_multiuser(
                 0.2,
                 2,
             )
-        }
-    });
-
-    // The bit-plane pair kernel vs its slotwise twin, both forced
-    // pair-major so the ratio isolates the row layout (Auto mode may
-    // pick the bucket scan, which is slotwise by construction). Both
-    // layouts must reproduce the report before anything is timed.
-    let bitplane = with_per_pair.then(|| {
-        let planes = EngineConfig {
-            parallel: ParallelConfig::default(),
-            mode: ResolveMode::PairMajor,
-            plane: PlanePolicy::Auto,
-            faults: None,
         };
-        let slotwise = EngineConfig {
-            plane: PlanePolicy::Slotwise,
-            ..planes
-        };
-        assert_eq!(
-            report,
-            sim.run_engine(horizon, &planes),
-            "bit-plane layout diverged at n_agents={n_agents}"
+        let pp = slots as f64 / per_pair_secs;
+        let sp = per_pair_secs / arena_secs;
+        println!(
+            "multiuser n={n_agents:<6} pairs={pairs:<8} per-pair={pp:>12.0} ps/s   arena={arena:>14.0} ps/s   speedup={sp:.1}x"
         );
-        assert_eq!(
-            report,
-            sim.run_engine(horizon, &slotwise),
-            "slotwise layout diverged at n_agents={n_agents}"
+        let plane_secs = time_engine(&planes);
+        let slot_secs = time_engine(&slotwise);
+        let (bp, sw) = (slots as f64 / plane_secs, slots as f64 / slot_secs);
+        let bsp = slot_secs / plane_secs;
+        println!(
+            "bitplane  n={n_agents:<6} pairs={pairs:<8} slotwise={sw:>12.0} ps/s   planes={bp:>13.0} ps/s   speedup={bsp:.1}x"
         );
-        let (min_secs, min_reps) = if smoke { (0.05, 1) } else { (0.2, 3) };
-        let plane_secs = time_reps(
-            || {
-                std::hint::black_box(sim.run_engine(horizon, &planes));
-            },
-            min_secs,
-            min_reps,
+        [pp, sp, bp, sw, bsp].map(Value::from)
+    } else {
+        println!(
+            "multiuser n={n_agents:<6} pairs={pairs:<8} arena={arena:>14.0} ps/s   ({arena_secs:.2}s wall)"
         );
-        let slot_secs = time_reps(
-            || {
-                std::hint::black_box(sim.run_engine(horizon, &slotwise));
-            },
-            min_secs,
-            min_reps,
-        );
-        (
-            slots as f64 / plane_secs,
-            slots as f64 / slot_secs,
-            slot_secs / plane_secs,
-        )
-    });
-
-    MultiuserCell {
-        n_agents,
-        universe,
-        k,
-        horizon,
-        overlapping_pairs: report.first_meeting.len() + report.missed.len(),
-        missed_pairs: report.missed.len(),
-        pair_slots: slots,
-        arena_secs,
-        arena_pair_slots_per_sec: slots as f64 / arena_secs,
-        per_pair_slots_per_sec: per_pair_secs.map(|s| slots as f64 / s),
-        speedup: per_pair_secs.map(|s| s / arena_secs),
-        bitplane_pair_slots_per_sec: bitplane.map(|b| b.0),
-        slotwise_pair_slots_per_sec: bitplane.map(|b| b.1),
-        bitplane_speedup: bitplane.map(|b| b.2),
-    }
+        std::array::from_fn(|_| Value::Null)
+    };
+    Value::object([
+        ("n_agents", Value::from(n_agents)),
+        ("universe", Value::from(universe)),
+        ("k", Value::from(k)),
+        ("horizon", Value::from(horizon)),
+        ("overlapping_pairs", Value::from(pairs)),
+        ("missed_pairs", Value::from(report.missed.len())),
+        ("pair_slots", Value::from(slots)),
+        ("arena_secs", Value::from(arena_secs)),
+        ("arena_pair_slots_per_sec", Value::from(arena)),
+        ("per_pair_slots_per_sec", per_pair),
+        ("speedup", speedup),
+        ("bitplane_pair_slots_per_sec", bitplane),
+        ("slotwise_pair_slots_per_sec", slotwise_rate),
+        ("bitplane_speedup", bitplane_speedup),
+    ])
 }
 
 fn multiuser_suite(smoke: bool) -> Suite {
@@ -391,31 +349,12 @@ fn multiuser_suite(smoke: bool) -> Suite {
         (4096, 512, 32, 1 << 11, false),
         (10_000, 1024, 64, 1 << 10, false),
     ];
-    let mut cells = Vec::new();
-    for (n_agents, universe, k, horizon, with_per_pair) in grid {
-        let cell = measure_multiuser(n_agents, universe, k, horizon, with_per_pair, smoke);
-        match (cell.per_pair_slots_per_sec, cell.speedup) {
-            (Some(pp), Some(sp)) => println!(
-                "multiuser n={:<6} pairs={:<8} per-pair={:>12.0} ps/s   arena={:>14.0} ps/s   speedup={:.1}x",
-                cell.n_agents, cell.overlapping_pairs, pp, cell.arena_pair_slots_per_sec, sp
-            ),
-            _ => println!(
-                "multiuser n={:<6} pairs={:<8} arena={:>14.0} ps/s   ({:.2}s wall)",
-                cell.n_agents, cell.overlapping_pairs, cell.arena_pair_slots_per_sec, cell.arena_secs
-            ),
-        }
-        if let (Some(bp), Some(sw), Some(sp)) = (
-            cell.bitplane_pair_slots_per_sec,
-            cell.slotwise_pair_slots_per_sec,
-            cell.bitplane_speedup,
-        ) {
-            println!(
-                "bitplane  n={:<6} pairs={:<8} slotwise={:>12.0} ps/s   planes={:>13.0} ps/s   speedup={:.1}x",
-                cell.n_agents, cell.overlapping_pairs, sw, bp, sp
-            );
-        }
-        cells.push(cell);
-    }
+    let scenarios = grid
+        .into_iter()
+        .map(|(n_agents, universe, k, horizon, with_per_pair)| {
+            measure_multiuser(n_agents, universe, k, horizon, with_per_pair, smoke)
+        })
+        .collect();
     let report = Value::object([
         ("bench", Value::from("multiuser_arena_engine")),
         (
@@ -428,51 +367,7 @@ fn multiuser_suite(smoke: bool) -> Suite {
             "unit",
             Value::from("pair-slots resolved per second (per pair: later wake to first meeting or horizon)"),
         ),
-        (
-            "scenarios",
-            Value::Array(
-                cells
-                    .iter()
-                    .map(|c| {
-                        Value::object([
-                            ("n_agents", Value::from(c.n_agents)),
-                            ("universe", Value::from(c.universe)),
-                            ("k", Value::from(c.k)),
-                            ("horizon", Value::from(c.horizon)),
-                            ("overlapping_pairs", Value::from(c.overlapping_pairs)),
-                            ("missed_pairs", Value::from(c.missed_pairs)),
-                            ("pair_slots", Value::from(c.pair_slots)),
-                            ("arena_secs", Value::from(c.arena_secs)),
-                            (
-                                "arena_pair_slots_per_sec",
-                                Value::from(c.arena_pair_slots_per_sec),
-                            ),
-                            (
-                                "per_pair_slots_per_sec",
-                                c.per_pair_slots_per_sec.map(Value::from).unwrap_or(Value::Null),
-                            ),
-                            ("speedup", c.speedup.map(Value::from).unwrap_or(Value::Null)),
-                            (
-                                "bitplane_pair_slots_per_sec",
-                                c.bitplane_pair_slots_per_sec
-                                    .map(Value::from)
-                                    .unwrap_or(Value::Null),
-                            ),
-                            (
-                                "slotwise_pair_slots_per_sec",
-                                c.slotwise_pair_slots_per_sec
-                                    .map(Value::from)
-                                    .unwrap_or(Value::Null),
-                            ),
-                            (
-                                "bitplane_speedup",
-                                c.bitplane_speedup.map(Value::from).unwrap_or(Value::Null),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("scenarios", Value::Array(scenarios)),
     ]);
     Suite {
         bench: "multiuser_arena_engine",
@@ -603,20 +498,6 @@ fn tree_suite(smoke: bool) -> Suite {
 
 // ---------------------------------------------------------------- faults
 
-struct FaultsCell {
-    n_agents: usize,
-    universe: u64,
-    k: usize,
-    horizon: u64,
-    overlapping_pairs: usize,
-    missed_pairs: usize,
-    pair_slots: u64,
-    acs_pair_slots_per_sec: f64,
-    oblivious_pair_slots_per_sec: f64,
-    acs_worst_ttr: u64,
-    oblivious_worst_ttr: u64,
-}
-
 /// Worst faulted TTR among the pairs that met — the quality side of the
 /// speed/TTR trade the faults suite records.
 fn worst_ttr(sim: &Simulation, report: &MeetingReport) -> u64 {
@@ -628,13 +509,9 @@ fn worst_ttr(sim: &Simulation, report: &MeetingReport) -> u64 {
         .unwrap_or(0)
 }
 
-fn measure_faults(
-    n_agents: usize,
-    universe: u64,
-    k: usize,
-    horizon: u64,
-    smoke: bool,
-) -> FaultsCell {
+/// Times the ACS-hopping and oblivious populations under one fault plan
+/// and returns the scenario.
+fn measure_faults(n_agents: usize, universe: u64, k: usize, horizon: u64, smoke: bool) -> Value {
     // The committed `light` profile on a fixed seed: the same faulted grid
     // the repro pipeline sweeps, sized up for throughput timing. The
     // availability-aware population senses the plan (it is threaded into
@@ -684,20 +561,31 @@ fn measure_faults(
         min_secs,
         min_reps,
     );
-
-    FaultsCell {
-        n_agents,
-        universe,
-        k,
-        horizon,
-        overlapping_pairs: acs_report.first_meeting.len() + acs_report.missed.len(),
-        missed_pairs: acs_report.missed.len(),
-        pair_slots: slots,
-        acs_pair_slots_per_sec: slots as f64 / acs_secs,
-        oblivious_pair_slots_per_sec: oblivious_slots as f64 / oblivious_secs,
-        acs_worst_ttr: worst_ttr(&acs_sim, &acs_report),
-        oblivious_worst_ttr: worst_ttr(&oblivious_sim, &oblivious_report),
-    }
+    let pairs = acs_report.first_meeting.len() + acs_report.missed.len();
+    let (acs, oblivious) = (
+        slots as f64 / acs_secs,
+        oblivious_slots as f64 / oblivious_secs,
+    );
+    let (acs_worst, oblivious_worst) = (
+        worst_ttr(&acs_sim, &acs_report),
+        worst_ttr(&oblivious_sim, &oblivious_report),
+    );
+    println!(
+        "faults    n={n_agents:<6} pairs={pairs:<8} acs={acs:>14.0} ps/s   oblivious={oblivious:>13.0} ps/s   worstTTR acs={acs_worst} vs obl={oblivious_worst}"
+    );
+    Value::object([
+        ("n_agents", Value::from(n_agents)),
+        ("universe", Value::from(universe)),
+        ("k", Value::from(k)),
+        ("horizon", Value::from(horizon)),
+        ("overlapping_pairs", Value::from(pairs)),
+        ("missed_pairs", Value::from(acs_report.missed.len())),
+        ("pair_slots", Value::from(slots)),
+        ("acs_pair_slots_per_sec", Value::from(acs)),
+        ("oblivious_pair_slots_per_sec", Value::from(oblivious)),
+        ("acs_worst_ttr", Value::from(acs_worst)),
+        ("oblivious_worst_ttr", Value::from(oblivious_worst)),
+    ])
 }
 
 fn faults_suite(smoke: bool) -> Suite {
@@ -706,20 +594,12 @@ fn faults_suite(smoke: bool) -> Suite {
         (512, 96, 24, 1 << 12),
         (2048, 256, 32, 1 << 11),
     ];
-    let mut cells = Vec::new();
-    for (n_agents, universe, k, horizon) in grid {
-        let cell = measure_faults(n_agents, universe, k, horizon, smoke);
-        println!(
-            "faults    n={:<6} pairs={:<8} acs={:>14.0} ps/s   oblivious={:>13.0} ps/s   worstTTR acs={} vs obl={}",
-            cell.n_agents,
-            cell.overlapping_pairs,
-            cell.acs_pair_slots_per_sec,
-            cell.oblivious_pair_slots_per_sec,
-            cell.acs_worst_ttr,
-            cell.oblivious_worst_ttr
-        );
-        cells.push(cell);
-    }
+    let scenarios = grid
+        .into_iter()
+        .map(|(n_agents, universe, k, horizon)| {
+            measure_faults(n_agents, universe, k, horizon, smoke)
+        })
+        .collect();
     let report = Value::object([
         ("bench", Value::from("faults_acs_engine")),
         (
@@ -737,35 +617,7 @@ fn faults_suite(smoke: bool) -> Suite {
             ),
         ),
         ("profile", Value::from("light")),
-        (
-            "scenarios",
-            Value::Array(
-                cells
-                    .iter()
-                    .map(|c| {
-                        Value::object([
-                            ("n_agents", Value::from(c.n_agents)),
-                            ("universe", Value::from(c.universe)),
-                            ("k", Value::from(c.k)),
-                            ("horizon", Value::from(c.horizon)),
-                            ("overlapping_pairs", Value::from(c.overlapping_pairs)),
-                            ("missed_pairs", Value::from(c.missed_pairs)),
-                            ("pair_slots", Value::from(c.pair_slots)),
-                            (
-                                "acs_pair_slots_per_sec",
-                                Value::from(c.acs_pair_slots_per_sec),
-                            ),
-                            (
-                                "oblivious_pair_slots_per_sec",
-                                Value::from(c.oblivious_pair_slots_per_sec),
-                            ),
-                            ("acs_worst_ttr", Value::from(c.acs_worst_ttr)),
-                            ("oblivious_worst_ttr", Value::from(c.oblivious_worst_ttr)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("scenarios", Value::Array(scenarios)),
     ]);
     Suite {
         bench: "faults_acs_engine",

@@ -61,6 +61,11 @@
 //!                      ledger is rewritten without them through the
 //!                      atomic-commit path (exit 0)
 //!
+//! Console output is the markdown echo: each pipeline run prints its
+//! `REPRO_<name>.md` bytes, then a `wrote …` line. The lower pipeline's
+//! exact, pigeonhole, density and Ramsey sections have no table there;
+//! their values are in `REPRO_lower.json`.
+//!
 //! A crashed or interrupted run keeps no resume state: rerun it. Every
 //! artifact is committed atomically (tmp + fsync + rename), so a crash
 //! leaves the previous complete file, never a partial one.
@@ -236,13 +241,14 @@ struct Ctx {
     history: Option<PathBuf>,
 }
 
-/// Writes one pipeline's artifact pair and enforces its gates: failed grid
+/// Prints one pipeline's markdown artifact (the run's only console
+/// rendering), writes the artifact pair and enforces its gates: failed grid
 /// cells exit 3 (degraded partial artifact — it takes precedence so CI
 /// never mistakes an incomplete grid for a bound verdict), any proven
 /// bound violation exits 1 — the CI contract.
 fn run_pipeline(ctx: &Ctx, out: PipelineOutput, stem: &str) {
+    println!("{}", out.markdown);
     let (json_path, md_path) = report::write_artifacts(&ctx.out_dir, stem, &out);
-    println!();
     println!(
         "wrote {} and {} ({} gated violations, {} failed cells)",
         json_path.display(),

@@ -6,12 +6,16 @@
 //! orchestrator, so every artifact is bit-identical at any worker thread
 //! count.
 //!
-//! The `table1` and `lower` measurement grids are each **one task-tree
+//! The `table1` and `lower` pipelines measure the same (algorithm ×
+//! timing × scenario × n) grid, walked by one private `grid` function;
+//! each pipeline zips that grid with its sweep results to build its
+//! JSON and markdown rows in one pass. Each grid is **one task-tree
 //! submission** (`rdv_sim::sweep_pair_grid` / `sweep_lower_grid`): every
-//! (algorithm × timing × scenario × n) cell is a parent task, its
-//! `(shift × seed)` chunks are children, and the chunks of *all* cells
-//! share one queue on one pool — so a slow cell no longer serializes an
-//! artifact run the way the former sequential per-cell loop did.
+//! cell is a parent task, its `(shift × seed)` chunks are children, and
+//! the chunks of *all* cells share one queue on one pool.
+//!
+//! Pipelines print nothing: the markdown artifact is their only
+//! human-readable rendering, and `repro` echoes it to the console.
 //!
 //! Living in the library (not the `repro` binary) so the test suite can
 //! run the pipelines in-process: `tests/repro_determinism.rs` executes
@@ -120,43 +124,88 @@ pub fn cell_bound(algo: Algorithm, n: u64, scenario: &PairScenario) -> (u64, &'s
     }
 }
 
-fn header(title: &str) {
-    println!();
-    println!("==== {title} ====");
-    println!();
+/// One cell of the measurement grid shared by `table1` and `lower`.
+struct GridCell {
+    algo: Algorithm,
+    kind: &'static str,
+    n: u64,
+    timing: &'static str,
+    scenario: PairScenario,
 }
 
-/// The `table1` measurement grid as task-tree parents, in artifact row
-/// order (algorithm → scenario kind → n → timing) — one [`SweepCell`] per
-/// artifact row. Shared by [`table1::run`] and the `BENCH_tree.json`
-/// orchestration bench (`bench_report --suite tree`) so both submit the
-/// identical tree.
-pub fn table1_cells(tier: Tier, threads: usize) -> Vec<SweepCell> {
-    let (ns, shifts, seeds) = grid_dimensions(tier);
+impl GridCell {
+    /// The cell's artifact row id (see [`report::cell_id`]).
+    fn id(&self) -> String {
+        report::cell_id(&self.algo.to_string(), self.timing, self.kind, self.n)
+    }
+}
+
+/// The measurement grid at `tier` in artifact row order (algorithm →
+/// scenario kind → n → timing): the one loop nest behind both the
+/// `table1` and `lower` grids, so their cells line up one-to-one.
+fn grid(tier: Tier) -> Vec<GridCell> {
+    let (ns, _, _) = grid_dimensions(tier);
     let mut cells = Vec::new();
     for algo in PIPELINE_ALGOS {
         for kind in ["asymmetric", "symmetric"] {
             for &n in ns {
                 let scenario = grid_scenario(kind, n, GRID_K);
                 for timing in ["sync", "async"] {
-                    cells.push(SweepCell {
-                        algorithm: algo,
+                    cells.push(GridCell {
+                        algo,
+                        kind,
                         n,
+                        timing,
                         scenario: scenario.clone(),
-                        cfg: SweepConfig {
-                            shifts: if timing == "sync" { 1 } else { shifts },
-                            shift_stride: 13,
-                            spread_over_period: timing == "async",
-                            seeds,
-                            horizon_override: 0,
-                            threads,
-                        },
                     });
                 }
             }
         }
     }
     cells
+}
+
+/// One grid row as JSON: the sweep's own object plus the cell's `id`,
+/// `timing` and `scenario` and the pipeline's `fields`.
+fn row_json(
+    cell: &GridCell,
+    sweep_json: Value,
+    fields: impl IntoIterator<Item = (&'static str, Value)>,
+) -> Value {
+    let Value::Object(mut m) = sweep_json else {
+        unreachable!("sweep rows are JSON objects");
+    };
+    m.insert("id".to_string(), Value::from(cell.id()));
+    m.insert("timing".to_string(), Value::from(cell.timing));
+    m.insert("scenario".to_string(), Value::from(cell.kind));
+    m.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
+    Value::Object(m)
+}
+
+/// The `table1` measurement grid as task-tree parents: the shared private
+/// `grid` walk with each cell's sweep configuration, one [`SweepCell`]
+/// per artifact row. Shared by [`table1::run`], the `BENCH_tree.json`
+/// orchestration bench (`bench_report --suite tree`) and the
+/// benchmark's `repro-smoke` probe, so all three submit the identical
+/// tree.
+pub fn table1_cells(tier: Tier, threads: usize) -> Vec<SweepCell> {
+    let (_, shifts, seeds) = grid_dimensions(tier);
+    grid(tier)
+        .into_iter()
+        .map(|cell| SweepCell {
+            algorithm: cell.algo,
+            n: cell.n,
+            scenario: cell.scenario,
+            cfg: SweepConfig {
+                shifts: if cell.timing == "sync" { 1 } else { shifts },
+                shift_stride: 13,
+                spread_over_period: cell.timing == "async",
+                seeds,
+                horizon_override: 0,
+                threads,
+            },
+        })
+        .collect()
 }
 
 /// The Table 1 reproduction pipeline: all eight algorithms ×
@@ -174,40 +223,6 @@ pub mod table1 {
     /// and the history ledger records runs under it.
     pub const STEM: &str = "REPRO_table1";
 
-    /// One pipeline row as JSON: the sweep's own fields plus the cell
-    /// context and the schema's `id`/`measured` trend keys.
-    #[allow(clippy::too_many_arguments)]
-    fn row_json(
-        sweep: &rdv_sim::PairSweep,
-        timing: &str,
-        kind: &str,
-        bound: u64,
-        bound_kind: &'static str,
-        gated: bool,
-        ok: bool,
-    ) -> Value {
-        let Value::Object(mut m) = sweep.to_json() else {
-            unreachable!("PairSweep::to_json returns an object");
-        };
-        m.insert(
-            "id".to_string(),
-            Value::from(report::cell_id(
-                &sweep.algorithm.to_string(),
-                timing,
-                kind,
-                sweep.n,
-            )),
-        );
-        m.insert("measured".to_string(), Value::from(sweep.summary.max));
-        m.insert("timing".to_string(), Value::from(timing));
-        m.insert("scenario".to_string(), Value::from(kind));
-        m.insert("bound".to_string(), Value::from(bound));
-        m.insert("bound_kind".to_string(), Value::from(bound_kind));
-        m.insert("gated".to_string(), Value::from(gated));
-        m.insert("bound_ok".to_string(), Value::from(ok));
-        Value::Object(m)
-    }
-
     /// Theorem 1: the pair-schedule period is `O(log log n)`. For each n,
     /// the worst asynchronous TTR between the pairs `{1,2}` and `{2,3}`
     /// (the 2-path the Ramsey coloring exists for) over every relative
@@ -219,11 +234,6 @@ pub mod table1 {
             Tier::Full => &[4, 1 << 4, 1 << 8, 1 << 16, 1 << 32, 1 << 62],
         };
         let (mut rows, mut md_rows) = (Vec::new(), String::new());
-        println!();
-        println!(
-            "{:<22}{:>10}{:>12}{:>10}",
-            "pair period n", "period", "worst TTR", "bound"
-        );
         for &n in ns {
             let fam = PairFamily::new(n).expect("n ≥ 2");
             let (period, bound) = (fam.period(), fam.ttr_bound());
@@ -240,7 +250,6 @@ pub mod table1 {
                      bound {bound} (one period)"
                 ));
             }
-            println!("{n:<22}{period:>10}{measured:>12}{bound:>10}");
             md_rows.push_str(&format!(
                 "| {n} | {period} | {measured} | {bound} | {} |\n",
                 if ok { "✓" } else { "✗" }
@@ -261,101 +270,84 @@ pub mod table1 {
     /// Runs the pipeline at `tier` on `threads` workers (0 = auto) and
     /// returns the artifact pair; the caller writes and gates it.
     pub fn run(tier: Tier, threads: usize) -> PipelineOutput {
-        header(&format!(
-            "Table 1 pipeline — 8 algorithms × sync/async × asym/sym (tier: {})",
-            tier.name()
-        ));
         let (ns, shifts, seeds) = grid_dimensions(tier);
         let k = GRID_K;
         // The grid is ONE task-tree submission: cells are parents, their
         // (shift × seed) chunks are children, and the chunks of all cells
         // are claimed from one shared queue.
-        let mut sweeps =
-            sweep_pair_grid(table1_cells(tier, threads), &ParallelConfig { threads }).into_iter();
+        let cells = grid(tier);
+        let sweeps = sweep_pair_grid(table1_cells(tier, threads), &ParallelConfig { threads });
+        assert_eq!(sweeps.len(), cells.len());
         let mut artifact = Artifact::new("table1", tier);
-        let mut rows = Vec::new();
-        let mut curves = Vec::new();
-        let mut md_rows = String::new();
-        println!(
-            "{:<16}{:<7}{:<11}{:>6}{:>12}{:>12}{:>12}  ok",
-            "algorithm", "timing", "scenario", "n", "maxTTR", "bound", "ratio"
-        );
-        for algo in PIPELINE_ALGOS {
-            for kind in ["asymmetric", "symmetric"] {
-                let mut points = Vec::new();
-                // (n, measured) of the async cells that missed no horizon:
-                // the fit behind the curve's growth exponent.
-                let mut fit = Vec::new();
-                for &n in ns {
-                    let scenario = grid_scenario(kind, n, k);
-                    let (bound, bound_kind, gated) = cell_bound(algo, n, &scenario);
-                    for timing in ["sync", "async"] {
-                        let sweep = sweeps
-                            .next()
-                            .expect("cell list and consumption loop are aligned")
-                            .unwrap_or_else(|e| {
-                                panic!("pipeline cell {algo}/{timing}/{kind}/n={n}: {e}")
-                            });
-                        // The builder (table1_cells) and this consumption
-                        // nest must walk the grid in lock-step; catch a
-                        // mispairing at the cell, not at the artifact diff.
-                        assert_eq!((sweep.algorithm, sweep.n), (algo, n), "grid misaligned");
-                        let (measured, failures, count) =
-                            (sweep.summary.max, sweep.failures, sweep.summary.count);
-                        let ok = failures == 0 && measured <= bound;
-                        let row = row_json(&sweep, timing, kind, bound, bound_kind, gated, ok);
-                        if gated && !ok {
-                            artifact.violation(format!(
-                                "{algo} ({timing}, {kind}, n={n}): max TTR {measured} vs bound \
-                                 {bound} ({failures} horizon misses)"
-                            ));
-                        }
-                        let ratio = measured as f64 / bound.max(1) as f64;
-                        println!(
-                            "{:<16}{:<7}{:<11}{:>6}{:>12}{:>12}{:>12.3}  {}",
-                            algo.to_string(),
-                            timing,
-                            kind,
-                            n,
-                            measured,
-                            bound,
-                            ratio,
-                            if ok { "yes" } else { "NO" }
-                        );
-                        md_rows.push_str(&format!(
-                            "| {algo} | {timing} | {kind} | {n} | {measured} | {bound} | {ratio:.3} \
-                             | {count} | {failures} | {} |\n",
-                            if ok { "✓" } else { "✗" },
-                        ));
-                        if timing == "async" {
-                            if failures == 0 {
-                                fit.push((n, measured));
-                            }
-                            points.push(Value::object([
-                                ("n", Value::from(n)),
-                                ("measured_max", Value::from(measured)),
-                                ("bound", Value::from(bound)),
-                            ]));
-                        }
-                        rows.push(row);
-                    }
-                }
+        let (mut rows, mut curves, mut md_rows) = (Vec::new(), Vec::new(), String::new());
+        // The async points of the current (algorithm, scenario) curve, and
+        // the (n, measured) of those that missed no horizon: the fit
+        // behind the curve's growth exponent.
+        let (mut points, mut fit) = (Vec::new(), Vec::new());
+        for (cell, sweep) in cells.iter().zip(sweeps) {
+            let GridCell {
+                algo,
+                kind,
+                n,
+                timing,
+                ..
+            } = *cell;
+            let sweep = sweep.unwrap_or_else(|e| panic!("pipeline cell {}: {e}", cell.id()));
+            let (bound, bound_kind, gated) = cell_bound(algo, n, &cell.scenario);
+            let (measured, failures, count) =
+                (sweep.summary.max, sweep.failures, sweep.summary.count);
+            let ok = failures == 0 && measured <= bound;
+            if gated && !ok {
+                artifact.violation(format!(
+                    "{algo} ({timing}, {kind}, n={n}): max TTR {measured} vs bound \
+                     {bound} ({failures} horizon misses)"
+                ));
+            }
+            let ratio = measured as f64 / bound.max(1) as f64;
+            md_rows.push_str(&format!(
+                "| {algo} | {timing} | {kind} | {n} | {measured} | {bound} | {ratio:.3} \
+                 | {count} | {failures} | {} |\n",
+                if ok { "✓" } else { "✗" },
+            ));
+            rows.push(row_json(
+                cell,
+                sweep.to_json(),
+                [
+                    ("measured", Value::from(measured)),
+                    ("bound", Value::from(bound)),
+                    ("bound_kind", Value::from(bound_kind)),
+                    ("gated", Value::from(gated)),
+                    ("bound_ok", Value::from(ok)),
+                ],
+            ));
+            if timing == "sync" {
+                continue;
+            }
+            if failures == 0 {
+                fit.push((n, measured));
+            }
+            points.push(Value::object([
+                ("n", Value::from(n)),
+                ("measured_max", Value::from(measured)),
+                ("bound", Value::from(bound)),
+            ]));
+            // The async cell at the largest n closes its curve.
+            if n == ns[ns.len() - 1] {
                 curves.push(Value::object([
                     ("algorithm", Value::from(algo.to_string())),
                     ("scenario", Value::from(kind)),
                     ("timing", Value::from("async")),
-                    ("points", Value::Array(points)),
+                    ("points", Value::Array(std::mem::take(&mut points))),
                     // Rounded so a last-bit difference between platform
                     // `ln` implementations cannot change the artifact bytes.
                     (
                         "growth_exponent",
-                        growth_exponent(&fit)
+                        growth_exponent(&std::mem::take(&mut fit))
                             .map_or(Value::Null, |e| Value::from((e * 1e4).round() / 1e4)),
                     ),
                 ]));
             }
         }
-        assert!(sweeps.next().is_none(), "grid cells left unconsumed");
 
         artifact.section(
             "config",
@@ -418,101 +410,78 @@ pub mod lower {
 
     /// The measurement grid: one lower-bound cell per `table1` cell, the
     /// whole grid one task-tree submission (cells are parents, shift
-    /// chunks are children, load balancing crosses cells).
-    fn grid_cells(artifact: &mut Artifact, threads: usize) -> Vec<Value> {
-        let (ns, _, _) = grid_dimensions(artifact.tier());
+    /// chunks are children, load balancing crosses cells). Returns the
+    /// artifact rows and their markdown table rows.
+    fn grid_cells(artifact: &mut Artifact, threads: usize) -> (Vec<Value>, String) {
         let (max_exhaustive, sampled) = shift_dimensions(artifact.tier());
-        let k = GRID_K;
-        let mut cells = Vec::new();
-        for algo in PIPELINE_ALGOS {
-            for kind in ["asymmetric", "symmetric"] {
-                for &n in ns {
-                    let scenario = grid_scenario(kind, n, k);
-                    for timing in ["sync", "async"] {
-                        cells.push(LowerCell {
-                            algorithm: algo,
-                            n,
-                            scenario: scenario.clone(),
-                            cfg: LowerSweepConfig {
-                                sync: timing == "sync",
-                                max_exhaustive_shifts: max_exhaustive,
-                                sampled_shifts: sampled,
-                                horizon_override: 0,
-                                threads,
-                            },
-                        });
-                    }
-                }
+        let cells = grid(artifact.tier());
+        let lower_cells = cells
+            .iter()
+            .map(|cell| LowerCell {
+                algorithm: cell.algo,
+                n: cell.n,
+                scenario: cell.scenario.clone(),
+                cfg: LowerSweepConfig {
+                    sync: cell.timing == "sync",
+                    max_exhaustive_shifts: max_exhaustive,
+                    sampled_shifts: sampled,
+                    horizon_override: 0,
+                    threads,
+                },
+            })
+            .collect();
+        let swept = sweep_lower_grid(lower_cells, &ParallelConfig { threads });
+        assert_eq!(swept.len(), cells.len());
+        let (mut rows, mut md_rows) = (Vec::new(), String::new());
+        for (cell, swept) in cells.iter().zip(swept) {
+            let GridCell {
+                algo,
+                kind,
+                n,
+                timing,
+                ..
+            } = *cell;
+            let swept = swept.unwrap_or_else(|e| panic!("lower cell {}: {e}", cell.id()));
+            let (upper, upper_kind, gated) = cell_bound(algo, n, &cell.scenario);
+            let (lower, measured, failures) =
+                (swept.certified_bound, swept.witness_ttr, swept.failures);
+            let lower_ok = swept.lower_slice_ok();
+            let upper_ok = failures == 0 && measured <= upper;
+            let ok = lower_ok && (!gated || upper_ok);
+            if !lower_ok {
+                artifact.violation(format!(
+                    "{algo} ({timing}, {kind}, n={n}): certified lower bound {lower} \
+                     exceeds the exhaustively measured worst case {measured}"
+                ));
             }
-        }
-        let mut swept = sweep_lower_grid(cells, &ParallelConfig { threads }).into_iter();
-        let mut rows = Vec::new();
-        println!(
-            "{:<16}{:<7}{:<11}{:>6}{:>10}{:>12}{:>12}  sandwich",
-            "algorithm", "timing", "scenario", "n", "lower", "measured", "upper"
-        );
-        for algo in PIPELINE_ALGOS {
-            for kind in ["asymmetric", "symmetric"] {
-                for &n in ns {
-                    let scenario = grid_scenario(kind, n, k);
-                    let (upper, upper_kind, gated) = cell_bound(algo, n, &scenario);
-                    for timing in ["sync", "async"] {
-                        let cell = swept
-                            .next()
-                            .expect("cell list and consumption loop are aligned")
-                            .unwrap_or_else(|e| {
-                                panic!("lower cell {algo}/{timing}/{kind}/n={n}: {e}")
-                            });
-                        // Builder/consumer lock-step guard, as in table1.
-                        assert_eq!((cell.algorithm, cell.n), (algo, n), "grid misaligned");
-                        let (lower, measured, failures) =
-                            (cell.certified_bound, cell.witness_ttr, cell.failures);
-                        let lower_ok = cell.lower_slice_ok();
-                        let upper_ok = failures == 0 && measured <= upper;
-                        let ok = lower_ok && (!gated || upper_ok);
-                        if !lower_ok {
-                            artifact.violation(format!(
-                                "{algo} ({timing}, {kind}, n={n}): certified lower bound {lower} \
-                                 exceeds the exhaustively measured worst case {measured}"
-                            ));
-                        }
-                        if gated && !upper_ok {
-                            artifact.violation(format!(
-                                "{algo} ({timing}, {kind}, n={n}): measured {measured} vs upper \
-                                 bound {upper} ({failures} horizon misses)"
-                            ));
-                        }
-                        println!(
-                            "{:<16}{:<7}{:<11}{:>6}{:>10}{:>12}{:>12}  {}",
-                            algo.to_string(),
-                            timing,
-                            kind,
-                            n,
-                            lower,
-                            measured,
-                            upper,
-                            if ok { "yes" } else { "NO" }
-                        );
-                        let Value::Object(mut m) = cell.to_json() else {
-                            unreachable!("LowerBoundSweep::to_json returns an object");
-                        };
-                        m.insert(
-                            "id".to_string(),
-                            Value::from(report::cell_id(&algo.to_string(), timing, kind, n)),
-                        );
-                        m.insert("timing".to_string(), Value::from(timing));
-                        m.insert("scenario".to_string(), Value::from(kind));
-                        m.insert("bound".to_string(), Value::from(upper));
-                        m.insert("bound_kind".to_string(), Value::from(upper_kind));
-                        m.insert("gated".to_string(), Value::from(gated));
-                        m.insert("sandwich_ok".to_string(), Value::from(ok));
-                        rows.push(Value::Object(m));
-                    }
-                }
+            if gated && !upper_ok {
+                artifact.violation(format!(
+                    "{algo} ({timing}, {kind}, n={n}): measured {measured} vs upper \
+                     bound {upper} ({failures} horizon misses)"
+                ));
             }
+            md_rows.push_str(&format!(
+                "| {} | {lower} | {measured} | {upper} | {} | {} |\n",
+                cell.id(),
+                if swept.exhaustive {
+                    "exhaustive"
+                } else {
+                    "sampled"
+                },
+                if ok { "✓" } else { "✗" },
+            ));
+            rows.push(row_json(
+                cell,
+                swept.to_json(),
+                [
+                    ("bound", Value::from(upper)),
+                    ("bound_kind", Value::from(upper_kind)),
+                    ("gated", Value::from(gated)),
+                    ("sandwich_ok", Value::from(ok)),
+                ],
+            ));
         }
-        assert!(swept.next().is_none(), "grid cells left unconsumed");
-        rows
+        (rows, md_rows)
     }
 
     /// Exact `R_s(n,2)` / cyclic `R_a(n,2)` optima by exhaustive search —
@@ -526,8 +495,6 @@ pub mod lower {
         let max_n_cyclic = 3; // n = 4 already needs a cyclic period > 2^6
         let mut rows = Vec::new();
         let mut last_optimal = 0u32;
-        println!();
-        println!("{:<6}{:>12}{:>18}", "n", "R_s(n,2)", "cyclic R_a(n,2)");
         for n in 2..=max_n_sync {
             let outcome_str = |o: exact::SearchOutcome| match o {
                 exact::SearchOutcome::Optimal(t) => t.to_string(),
@@ -549,12 +516,6 @@ pub mod lower {
             } else {
                 None
             };
-            println!(
-                "{:<6}{:>12}{:>18}",
-                n,
-                outcome_str(rs),
-                ra.map_or("-".to_string(), outcome_str)
-            );
             rows.push(Value::object([
                 ("id", Value::from(format!("exact/rs/n={n}"))),
                 ("n", Value::from(n)),
@@ -577,11 +538,6 @@ pub mod lower {
             Tier::Full => 64,
         };
         let mut rows = Vec::new();
-        println!();
-        println!(
-            "{:<26}{:>4}{:>4}{:>18}",
-            "pigeonhole family", "k", "α", "certified bound"
-        );
         let round_robin = |set: &ChannelSet| {
             rdv_core::schedule::CyclicSchedule::new(set.iter().collect()).expect("non-empty")
         };
@@ -601,13 +557,6 @@ pub mod lower {
                          n={n} — the construction must certify it"
                     ));
                 }
-                println!(
-                    "{:<26}{:>4}{:>4}{:>18}",
-                    name,
-                    k,
-                    alpha,
-                    certified.map_or("no witness".to_string(), |b| b.to_string())
-                );
                 rows.push(Value::object([
                     (
                         "id",
@@ -647,11 +596,6 @@ pub mod lower {
         let family =
             move |set: &ChannelSet| GeneralSchedule::asynchronous(n, set.clone()).expect("valid");
         let mut rows = Vec::new();
-        println!();
-        println!(
-            "{:<14}{:>6}{:>10}{:>12}{:>14}",
-            "density k,l", "k*l", "worstTTR", "TTR/(k*l)", "Thm3 bound"
-        );
         for &(k, l) in grid {
             let w = density::worst_overlap_one_pair(&family, n, k, l, 1 << 22, 5, 128)
                 .expect("witness");
@@ -662,14 +606,6 @@ pub mod lower {
                     w.ttr
                 ));
             }
-            println!(
-                "{:<14}{:>6}{:>10}{:>12.2}{:>14}",
-                format!("{k},{l}"),
-                k * l,
-                w.ttr,
-                w.barrier_ratio,
-                bound
-            );
             rows.push(Value::object([
                 ("id", Value::from(format!("density/k={k}/l={l}"))),
                 ("n", Value::from(n)),
@@ -690,11 +626,6 @@ pub mod lower {
     /// pair family must survive the attack at its full period.
     fn ramsey_section(artifact: &mut Artifact) -> Vec<Value> {
         let mut rows = Vec::new();
-        println!();
-        println!(
-            "{:<26}{:>6}{:>10}{:>12}",
-            "ramsey family", "n", "horizon", "outcome"
-        );
         // The family Theorem 4 demolishes: every pair alternates.
         let oblivious = |a: u64, b: u64| {
             rdv_core::schedule::CyclicSchedule::new(vec![
@@ -714,13 +645,6 @@ pub mod lower {
                     .to_string(),
             );
         }
-        println!(
-            "{:<26}{:>6}{:>10}{:>12}",
-            "oblivious (alternating)",
-            4,
-            horizon,
-            if verified { "doomed" } else { "ESCAPED" }
-        );
         rows.push(Value::object([
             ("id", Value::from("ramsey/oblivious/n=4")),
             ("family", Value::from("oblivious")),
@@ -747,13 +671,6 @@ pub mod lower {
                     "ramsey: a Theorem 4 witness verified against the paper's pair family at n={n}"
                 ));
             }
-            println!(
-                "{:<26}{:>6}{:>10}{:>12}",
-                "ours (PairFamily)",
-                n,
-                period,
-                if survived { "survives" } else { "DOOMED" }
-            );
             rows.push(Value::object([
                 ("id", Value::from(format!("ramsey/pair-family/n={n}"))),
                 ("family", Value::from("pair-family")),
@@ -768,10 +685,6 @@ pub mod lower {
     /// Runs the pipeline at `tier` on `threads` workers (0 = auto) and
     /// returns the artifact pair; the caller writes and gates it.
     pub fn run(tier: Tier, threads: usize) -> PipelineOutput {
-        header(&format!(
-            "lower-bound pipeline — sandwich invariant over the table1 grid (tier: {})",
-            tier.name()
-        ));
         let (ns, _, _) = grid_dimensions(tier);
         let (max_exhaustive, sampled) = shift_dimensions(tier);
         let mut artifact = Artifact::new("lower", tier);
@@ -787,33 +700,11 @@ pub mod lower {
                 ("k", Value::from(GRID_K)),
             ]),
         );
-        let cells = grid_cells(&mut artifact, threads);
+        let (cells, md_rows) = grid_cells(&mut artifact, threads);
         let exact = exact_section(&mut artifact);
         let pigeonhole = pigeonhole_section(&mut artifact);
         let density = density_section(&mut artifact);
         let ramsey = ramsey_section(&mut artifact);
-
-        let mut md_rows = String::new();
-        for cell in &cells {
-            let g = |k: &str| cell.get(k).cloned().unwrap_or(Value::Null);
-            md_rows.push_str(&format!(
-                "| {} | {} | {} | {} | {} | {} |\n",
-                g("id").as_str().unwrap_or("?"),
-                g("lower").as_u64().unwrap_or(0),
-                g("measured").as_u64().unwrap_or(0),
-                g("bound").as_u64().unwrap_or(0),
-                if g("exhaustive") == Value::Bool(true) {
-                    "exhaustive"
-                } else {
-                    "sampled"
-                },
-                if g("sandwich_ok") == Value::Bool(true) {
-                    "✓"
-                } else {
-                    "✗"
-                },
-            ));
-        }
         artifact.section("cells", Value::Array(cells));
         artifact.section("exact", Value::Array(exact));
         artifact.section("pigeonhole", Value::Array(pigeonhole));
@@ -898,10 +789,6 @@ pub mod sdp {
     /// Runs the pipeline at `tier` on `threads` workers (0 = auto) and
     /// returns the artifact pair; the caller writes and gates it.
     pub fn run(tier: Tier, threads: usize) -> PipelineOutput {
-        header(&format!(
-            "SDP pipeline — one-round 0.439-approximation vs exact optimum (tier: {})",
-            tier.name()
-        ));
         let mut artifact = Artifact::new("sdp", tier);
         let instances = instances(tier);
         artifact.section(
@@ -938,10 +825,6 @@ pub mod sdp {
         let mut rows = Vec::new();
         let mut md_rows = String::new();
         let mut min_ratio = f64::INFINITY;
-        println!(
-            "{:<12}{:>6}{:>8}{:>10}{:>10}{:>10}{:>8}",
-            "instance", "m", "exact", "sdp val", "rounded", "rand E", "ratio"
-        );
         for ((name, g), (opt, sdp_value, in_pairs, in_plus_out, rand_expected, rand_best)) in
             instances.iter().zip(solved)
         {
@@ -964,16 +847,6 @@ pub mod sdp {
                      optimum {opt} — the ascent failed to converge"
                 ));
             }
-            println!(
-                "{:<12}{:>6}{:>8}{:>10.2}{:>10}{:>10.2}{:>8.3}",
-                name,
-                g.n_edges(),
-                opt,
-                sdp_value,
-                in_pairs,
-                rand_expected,
-                ratio
-            );
             md_rows.push_str(&format!(
                 "| {name} | {} | {} | {opt} | {sdp_value:.3} | {in_pairs} | {rand_expected:.2} | \
                  {ratio:.3} | {} |\n",
@@ -996,11 +869,6 @@ pub mod sdp {
                 ("ratio_ok", Value::from(ok)),
             ]));
         }
-        println!();
-        println!(
-            "min ratio {:.3} vs the appendix guarantee {GUARANTEE}; random baseline ≈ optimum/4",
-            min_ratio
-        );
         artifact.section("rows", Value::Array(rows));
         artifact.section("min_ratio", Value::from(min_ratio));
 
@@ -1237,11 +1105,6 @@ pub mod faults {
         profile: &FaultProfile,
         sabotage: Sabotage,
     ) -> PipelineOutput {
-        header(&format!(
-            "Fault injection — outage × churn axes, profile '{}' (tier: {})",
-            profile.name,
-            tier.name()
-        ));
         let (_, horizon) = fault_dimensions(tier);
         let grid = cells(tier, profile);
         let mut artifact = Artifact::new("table1_faults", tier);
@@ -1281,10 +1144,6 @@ pub mod faults {
         );
         let mut rows = Vec::new();
         let mut md_rows = String::new();
-        println!(
-            "{:<16}{:>7}{:>7}{:>7}{:>7}{:>9}{:>9}{:>10}{:>12}",
-            "algorithm", "o‰", "c‰", "agents", "pairs", "met", "clean", "departed", "worstTTR"
-        );
         for (cell, result) in grid.iter().zip(results) {
             let row = match result {
                 Ok(row) => row,
@@ -1298,18 +1157,6 @@ pub mod faults {
                 }
             };
             let get = |key: &str| row.get(key).and_then(Value::as_u64).unwrap_or(0);
-            println!(
-                "{:<16}{:>7}{:>7}{:>7}{:>7}{:>9}{:>9}{:>10}{:>12}",
-                cell.algo.to_string(),
-                cell.outage_per_mille,
-                cell.churn_per_mille,
-                cell.agents,
-                get("overlapping_pairs"),
-                get("met"),
-                get("met_clean"),
-                get("departed"),
-                get("measured"),
-            );
             md_rows.push_str(&format!(
                 "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |\n",
                 cell.algo,

@@ -136,12 +136,6 @@ impl Artifact {
         self.failed.push(cell);
     }
 
-    /// The quarantined failures recorded so far, row-id-sorted.
-    pub fn failed_cells(&mut self) -> &[FailedCell] {
-        self.failed.sort_by(|a, b| a.id.cmp(&b.id));
-        &self.failed
-    }
-
     /// The standard markdown section for quarantined failures, or a
     /// one-line all-clear. Row-id-sorted, like the JSON section.
     pub fn failed_cells_markdown(&mut self) -> String {
@@ -177,11 +171,6 @@ impl Artifact {
     /// Records a proven-bound violation (fails the pipeline at the end).
     pub fn violation(&mut self, message: String) {
         self.violations.push(message);
-    }
-
-    /// The violations recorded so far.
-    pub fn violations(&self) -> &[String] {
-        &self.violations
     }
 
     /// The standard markdown verdict block.
