@@ -31,8 +31,12 @@
 //! smoke and full-tier throughputs are comparable. `--history` appends one
 //! line per measured suite (commit, host fingerprint, tier, UTC timestamp,
 //! throughput points by scenario) to the run ledger — the bench twin of
-//! `repro --history`. `repro trend --history` gates those points against
-//! their window median: it is the only throughput-regression gate.
+//! `repro --history`. `repro dashboard --history` gates those points
+//! against their window median: it is the only throughput-regression
+//! gate. Every column of a cell — reference and fast path alike — is the
+//! median of at least five individually timed reps after a warm-up, except
+//! the arena time of the 4,096- and 10k-agent multiuser cells, timed once
+//! (one run is long and deterministic enough).
 //!
 //! **Speedup floors.** Each `--min-*-speedup X` fails the run (exit 1)
 //! when its ratio falls below X. `--min-arena-speedup` (arena vs per-pair
@@ -287,19 +291,13 @@ fn measure_multiuser(
             sim.run_per_pair_reference(horizon, &cfg),
             "per-pair engine diverged at n_agents={n_agents}"
         );
-        let per_pair_secs = if smoke {
-            time_once(|| {
+        let per_pair_secs = time_reps(
+            || {
                 std::hint::black_box(sim.run_per_pair_reference(horizon, &cfg));
-            })
-        } else {
-            time_reps(
-                || {
-                    std::hint::black_box(sim.run_per_pair_reference(horizon, &cfg));
-                },
-                0.2,
-                2,
-            )
-        };
+            },
+            min_secs,
+            min_reps,
+        );
         let pp = slots as f64 / per_pair_secs;
         let sp = per_pair_secs / arena_secs;
         println!(

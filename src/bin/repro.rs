@@ -2,7 +2,7 @@
 //! machine-readable, gated artifacts, and reads the run ledger.
 //!
 //! ```text
-//! repro [--quick | --smoke] [--out-dir DIR] [<command>] [args...]
+//! repro [--smoke] [--out-dir DIR] [<command>] [args...]
 //!
 //! artifact pipelines (JSON + markdown, gated, CI-diffed bit-for-bit):
 //!   table1             all eight algorithms × sync/async × sym/asym,
@@ -37,23 +37,21 @@
 //!                      timestamp, headroom rows by row id) as one JSONL
 //!                      line to FILE after the artifacts are written.
 //!                      `bench_report --history` is the bench twin
-//!   trend --history FILE [--window N] [--max-regression-pct P]
-//!                      [--same-host]
-//!                      N-generation analysis over the ledger: every
-//!                      series (pipeline headroom row / bench throughput
-//!                      point) is matched across generations, the latest
-//!                      value compared against the median of the
-//!                      preceding N-generation window (default 5), and
-//!                      classified regressed / improved / flat beyond
-//!                      the tolerance (default 30%). N must be a positive
-//!                      integer and P a finite, non-negative number (exit
-//!                      2 otherwise). Exits 1 on any regression — the
-//!                      only perf-regression gate in CI
 //!   dashboard [--history FILE] [--out FILE]
-//!                      renders the ledger (default HISTORY.jsonl) into
-//!                      committed markdown sparkline tables (default
-//!                      DASHBOARD.md); byte-identical given the same
-//!                      ledger, so CI diffs it against the committed copy
+//!                      the N-generation analysis of the ledger (default
+//!                      HISTORY.jsonl): every series (pipeline headroom
+//!                      row / bench throughput point) is matched across
+//!                      generations, its latest value compared against
+//!                      the median of its preceding 5-generation window
+//!                      and classified regressed / improved / flat beyond
+//!                      a 30% tolerance. Prints the markdown sparkline
+//!                      tables, writes them (default DASHBOARD.md;
+//!                      byte-identical given the same ledger, so CI diffs
+//!                      it against the committed copy), then prints one
+//!                      PERF REGRESSION line per regressed series and
+//!                      exits 1 if there is any — the only
+//!                      perf-regression gate in CI. A ledger with no
+//!                      readable generation exits 2 and writes nothing
 //!   history fsck [--repair] [--history FILE]
 //!                      checks the ledger (default HISTORY.jsonl) for
 //!                      corrupt lines: reports each with its line number
@@ -72,18 +70,18 @@
 //!
 //! tiers:
 //!   (default)      full paper-scale grids
-//!   --quick        smaller grids, same shapes
 //!   --smoke        minutes-scale CI tier: smallest grids that still cross
 //!                  every algorithm × timing × scenario cell
 //!
 //! exit codes:
 //!   0  success — every cell completed and every gated bound held
 //!   1  a gated bound violation (the CI contract for committed artifacts),
-//!      or `history fsck` found corruption without --repair
+//!      a regressed ledger series (`dashboard`), or `history fsck` found
+//!      corruption without --repair
 //!   2  usage error: an unknown command or flag, a repeated flag, a flag
-//!      value that is missing or unparsable, --smoke with --quick,
-//!      --faults or --sabotage with any command but table1, --sabotage
-//!      without --faults
+//!      value that is missing or unparsable, --faults or --sabotage with
+//!      any command but table1, --sabotage without --faults; or a
+//!      `dashboard` ledger with no readable generation
 //!   3  degraded partial artifact — some grid cells panicked; the
 //!      artifact's failed_cells section lists them. Takes precedence
 //!      over 1.
@@ -92,12 +90,12 @@
 //! The paper's Figures 1–3 print from `cargo run --example figures`.
 
 use blind_rendezvous::cli;
-use blind_rendezvous::history::{self, HostFingerprint, TrendOptions};
-use blind_rendezvous::pipelines::{self, faults::Sabotage};
+use blind_rendezvous::history::{self, HostFingerprint};
+use blind_rendezvous::pipelines;
 use blind_rendezvous::report::{self, PipelineOutput, Tier};
 use rdv_core::fault::FaultProfile;
 use std::fmt::Display;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Prints a usage error and exits 2.
 fn usage_error(msg: impl Display) -> ! {
@@ -109,30 +107,16 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = cli::parse(
         &argv,
-        &[
-            "--out-dir",
-            "--faults",
-            "--history",
-            "--window",
-            "--max-regression-pct",
-            "--out",
-        ],
-        &[
-            "--smoke",
-            "--quick",
-            "--sabotage",
-            "--same-host",
-            "--repair",
-        ],
+        &["--out-dir", "--faults", "--history", "--out"],
+        &["--smoke", "--sabotage", "--repair"],
     )
     .unwrap_or_else(|e| usage_error(format!("{e}; see the module docs")));
     let positional = &args.positionals;
     let cmd = positional.first().map_or("all", String::as_str);
-    let tier = match (args.has("--smoke"), args.has("--quick")) {
-        (true, true) => usage_error("--smoke and --quick are mutually exclusive"),
-        (true, false) => Tier::Smoke,
-        (false, true) => Tier::Quick,
-        (false, false) => Tier::Full,
+    let tier = if args.has("--smoke") {
+        Tier::Smoke
+    } else {
+        Tier::Full
     };
     if cmd != "table1" && (args.has("--faults") || args.has("--sabotage")) {
         usage_error("--faults and --sabotage only apply to the table1 pipeline");
@@ -147,15 +131,6 @@ fn main() {
             ))
         })
     });
-    let sabotage = if args.has("--sabotage") {
-        // A fixed cell index so the degraded artifact — and the CI
-        // exit-code check against it — is deterministic.
-        Sabotage {
-            poison_cell: Some(1),
-        }
-    } else {
-        Sabotage::NONE
-    };
     let history_path = args.value("--history").map(PathBuf::from);
     let ctx = Ctx {
         out_dir: PathBuf::from(args.value("--out-dir").unwrap_or(".")),
@@ -165,7 +140,7 @@ fn main() {
         "table1" => match faults {
             Some(profile) => run_pipeline(
                 &ctx,
-                pipelines::faults::run(tier, 0, profile, sabotage),
+                pipelines::faults::run(tier, 0, profile, args.has("--sabotage")),
                 pipelines::faults::STEM,
             ),
             None => run_pipeline(
@@ -176,34 +151,6 @@ fn main() {
         },
         "lower" => run_pipeline(&ctx, pipelines::lower::run(tier, 0), pipelines::lower::STEM),
         "sdp" => run_pipeline(&ctx, pipelines::sdp::run(tier, 0), pipelines::sdp::STEM),
-        "trend" => {
-            let Some(ledger) = &history_path else {
-                usage_error(
-                    "usage: repro trend --history LEDGER.jsonl [--window N] \
-                     [--max-regression-pct P] [--same-host]",
-                );
-            };
-            let opts = TrendOptions {
-                window: args
-                    .value("--window")
-                    .map(|v| match v.parse() {
-                        Ok(n) if n > 0 => n,
-                        _ => usage_error(format!("--window takes a positive integer (got {v})")),
-                    })
-                    .unwrap_or(5),
-                max_regression_pct: args
-                    .value("--max-regression-pct")
-                    .map(|v| match v.parse::<f64>() {
-                        Ok(p) if p.is_finite() && p >= 0.0 => p,
-                        _ => usage_error(format!(
-                            "--max-regression-pct takes a finite, non-negative number (got {v})"
-                        )),
-                    })
-                    .unwrap_or(30.0),
-                same_host: args.has("--same-host"),
-            };
-            trend_history(ledger, &opts);
-        }
         "dashboard" => {
             let ledger = history_path.unwrap_or_else(|| PathBuf::from("HISTORY.jsonl"));
             let out = PathBuf::from(args.value("--out").unwrap_or("DASHBOARD.md"));
@@ -225,7 +172,7 @@ fn main() {
             );
             run_pipeline(
                 &ctx,
-                pipelines::faults::run(tier, 0, light, Sabotage::NONE),
+                pipelines::faults::run(tier, 0, light, false),
                 pipelines::faults::STEM,
             );
             run_pipeline(&ctx, pipelines::lower::run(tier, 0), pipelines::lower::STEM);
@@ -295,29 +242,11 @@ fn run_pipeline(ctx: &Ctx, out: PipelineOutput, stem: &str) {
     }
 }
 
-/// Reads a ledger, reporting (but surviving) corrupt lines; only I/O
-/// failure is fatal.
-fn read_ledger(path: &std::path::Path) -> blind_rendezvous::history::Ledger {
-    let ledger = history::read(path).unwrap_or_else(|e| {
-        eprintln!("reading {}: {e}", path.display());
-        std::process::exit(2);
-    });
-    for s in &ledger.skipped {
-        eprintln!(
-            "history: skipped corrupt ledger line {} of {}: {}",
-            s.line,
-            path.display(),
-            s.error
-        );
-    }
-    ledger
-}
-
 /// `repro history fsck [--repair]`: reports the ledger's corrupt lines
 /// with their line numbers; without `--repair` any corruption exits 1,
 /// with it the ledger is rewritten without the corrupt lines through the
 /// atomic-commit path.
-fn history_fsck(path: &std::path::Path, repair: bool) {
+fn history_fsck(path: &Path, repair: bool) {
     let ledger = history::read(path).unwrap_or_else(|e| {
         eprintln!("reading {}: {e}", path.display());
         std::process::exit(2);
@@ -354,40 +283,35 @@ fn history_fsck(path: &std::path::Path, repair: bool) {
     }
 }
 
-/// `repro trend --history LEDGER`: the N-generation analysis; exits 1 on
-/// any regressed series — the CI gate.
-fn trend_history(ledger_path: &std::path::Path, opts: &TrendOptions) {
-    let ledger = read_ledger(ledger_path);
+/// `repro dashboard`: the ledger's trend analysis, rendered, echoed and
+/// written as the dashboard markdown — a pure function of the ledger
+/// file — then gated like a pipeline's artifact: every regressed series
+/// prints a `PERF REGRESSION` line and the run exits 1. A ledger with no
+/// readable generation exits 2 before anything is written, so a gate that
+/// read nothing cannot pass. Corrupt lines are reported and skipped.
+fn dashboard(ledger_path: &Path, out_path: &Path) {
+    let ledger = history::read(ledger_path).unwrap_or_else(|e| {
+        eprintln!("reading {}: {e}", ledger_path.display());
+        std::process::exit(2);
+    });
+    for s in &ledger.skipped {
+        eprintln!(
+            "history: skipped corrupt ledger line {} of {}: {}",
+            s.line,
+            ledger_path.display(),
+            s.error
+        );
+    }
     if ledger.entries.is_empty() {
         eprintln!(
-            "trend: ledger {} has no readable generations",
+            "dashboard: ledger {} has no readable generations",
             ledger_path.display()
         );
         std::process::exit(2);
     }
-    let analysis = history::analyze(&ledger.entries, opts);
-    print!("{}", analysis.render(opts));
-    let regressed = analysis.regressed();
-    if !regressed.is_empty() {
-        for s in &regressed {
-            eprintln!(
-                "PERF REGRESSION: {} at {} vs window median {} ({:+.1}%, tolerance -{}%)",
-                s.key,
-                history::format_metric(s.latest),
-                history::format_metric(s.baseline.unwrap_or(f64::NAN)),
-                s.delta_pct.unwrap_or(f64::NAN),
-                opts.max_regression_pct
-            );
-        }
-        std::process::exit(1);
-    }
-}
-
-/// `repro dashboard`: renders the ledger into the committed markdown
-/// dashboard — a pure function of the ledger file.
-fn dashboard(ledger_path: &std::path::Path, out_path: &std::path::Path) {
-    let ledger = read_ledger(ledger_path);
-    let md = history::render_dashboard(&ledger);
+    let trend = history::analyze(&ledger.entries);
+    let md = history::render_dashboard(&ledger, &trend);
+    println!("{md}");
     if let Some(dir) = out_path.parent().filter(|d| !d.as_os_str().is_empty()) {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("creating {}: {e}", dir.display()));
     }
@@ -399,4 +323,18 @@ fn dashboard(ledger_path: &std::path::Path, out_path: &std::path::Path) {
         ledger.entries.len(),
         ledger.skipped.len()
     );
+    let regressed = trend.regressed();
+    for s in &regressed {
+        eprintln!(
+            "PERF REGRESSION: {} at {} vs window median {} ({:+.1}%, tolerance -{}%)",
+            s.key,
+            history::format_metric(s.latest),
+            history::format_metric(s.baseline.unwrap_or(f64::NAN)),
+            s.delta_pct.unwrap_or(f64::NAN),
+            history::MAX_REGRESSION_PCT
+        );
+    }
+    if !regressed.is_empty() {
+        std::process::exit(1);
+    }
 }

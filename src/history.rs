@@ -1,5 +1,4 @@
-//! The append-only perf-trend ledger behind `repro trend --history` and
-//! `repro dashboard`.
+//! The append-only perf-trend ledger behind `repro dashboard`.
 //!
 //! Every artifact pipeline run (`repro --history FILE …`) and every bench
 //! suite run (`bench_report --history FILE …`) appends **one JSONL line**
@@ -12,19 +11,21 @@
 //! cannot express: those files are overwritten in place, a ledger line is
 //! never rewritten.
 //!
-//! On top of it sit two read paths:
+//! It has one read path, in two steps:
 //!
 //! * [`analyze`] — the N-generation regression analysis: series are
-//!   matched across generations by key, the latest value is compared
-//!   against the **median of the preceding window**, and each series is
-//!   classified regressed / improved / flat beyond a percentage
-//!   tolerance. `repro trend --history` exits non-zero on any
-//!   regression; it is the repo's only perf-regression gate in CI.
-//! * [`render_dashboard`] — committed-markdown sparkline tables
-//!   (`DASHBOARD.md`). Rendering is a **pure function of the ledger**:
-//!   timestamps come from the ledger lines, never from the clock at
-//!   render time, so the committed dashboard regenerates byte-identically
-//!   and CI diffs it like the other committed artifacts.
+//!   matched across generations and grouped per dashboard section, the
+//!   latest value is compared against the **median of the preceding
+//!   [`TREND_WINDOW`] generations**, and each series is classified
+//!   regressed / improved / flat beyond [`MAX_REGRESSION_PCT`].
+//! * [`render_dashboard`] — the analysis as committed-markdown sparkline
+//!   tables (`DASHBOARD.md`). Rendering is a **pure function of the
+//!   ledger**: timestamps come from the ledger lines, never from the clock
+//!   at render time, so the committed dashboard regenerates
+//!   byte-identically and CI diffs it like the other committed artifacts.
+//!
+//! `repro dashboard` runs both, writes the markdown and exits non-zero on
+//! any regression; it is the repo's only perf-regression gate in CI.
 //!
 //! Tracked metrics are chosen so that **higher is always better**: a
 //! pipeline row tracks its bound headroom (`bound / measured`, see
@@ -38,8 +39,9 @@ use std::io::Write as _;
 use std::path::Path;
 
 /// What produced a ledger entry: an artifact pipeline (`repro`) or a
-/// bench suite (`bench_report`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// bench suite (`bench_report`). Ordered as the dashboard's sections are:
+/// pipelines first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum EntryKind {
     /// A reproduction pipeline run; rows carry `measured` + `bound` and
     /// track headroom.
@@ -93,8 +95,8 @@ impl HostFingerprint {
         }
     }
 
-    /// The compact `os/arch/tN` form used in reports and for the
-    /// same-host trend filter.
+    /// The compact `os/arch/tN` form the dashboard's generation log
+    /// shows.
     pub fn key(&self) -> String {
         format!("{}/{}/t{}", self.os, self.arch, self.threads)
     }
@@ -133,8 +135,7 @@ pub struct LedgerEntry {
     /// The pipeline name (`"table1"`) or bench id
     /// (`"multiuser_arena_engine"`).
     pub source: String,
-    /// The tier the run was produced at (`"smoke"` / `"quick"` /
-    /// `"full"`).
+    /// The tier the run was produced at (`"smoke"` / `"full"`).
     pub tier: String,
     /// The commit under test (`RDV_COMMIT` / `GITHUB_SHA`, or
     /// `"uncommitted"`).
@@ -142,7 +143,7 @@ pub struct LedgerEntry {
     /// The measuring machine.
     pub host: HostFingerprint,
     /// UTC wall-clock of the run, `YYYY-MM-DDTHH:MM:SSZ`. Stamped by the
-    /// *writer*; readers (trend, dashboard) never consult the clock.
+    /// *writer*; the reader (the dashboard) never consults the clock.
     pub utc: String,
     /// The run's series rows.
     pub rows: Vec<SeriesPoint>,
@@ -514,31 +515,13 @@ pub fn series_key(entry: &LedgerEntry, point_id: &str) -> String {
     }
 }
 
-/// Options of the N-generation trend analysis.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrendOptions {
-    /// How many prior generations the baseline median is taken over.
-    pub window: usize,
-    /// The regression tolerance in percent: a series regresses when its
-    /// latest value is more than this far below the window median, and
-    /// improves when it is more than this far above it.
-    pub max_regression_pct: f64,
-    /// Restrict the baseline window to generations measured on the same
-    /// host fingerprint as the latest one (strict like-for-like; off by
-    /// default, so CI's fresh-runner generation is compared against the
-    /// committed cross-host trajectory).
-    pub same_host: bool,
-}
+/// How many prior generations a series' baseline median is taken over.
+pub const TREND_WINDOW: usize = 5;
 
-impl Default for TrendOptions {
-    fn default() -> Self {
-        TrendOptions {
-            window: 5,
-            max_regression_pct: 30.0,
-            same_host: false,
-        }
-    }
-}
+/// The regression tolerance in percent: a series regresses when its latest
+/// value is more than this far below the window median, and improves when
+/// it is more than this far above it.
+pub const MAX_REGRESSION_PCT: f64 = 30.0;
 
 /// The classification of one series after [`analyze`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -549,8 +532,7 @@ pub enum SeriesClass {
     Improved,
     /// Within tolerance of the window median.
     Flat,
-    /// No prior generations to compare against (first appearance, or no
-    /// same-host history under [`TrendOptions::same_host`]).
+    /// No prior generation to compare against.
     New,
 }
 
@@ -569,10 +551,15 @@ impl SeriesClass {
 /// One series matched across ledger generations.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistorySeries {
+    /// Pipeline headroom or bench throughput.
+    pub kind: EntryKind,
+    /// The dashboard section: `"<pipeline> (<tier> tier)"` or the bench id.
+    pub section: String,
+    /// The row id within the section.
+    pub id: String,
     /// The [`series_key`].
     pub key: String,
-    /// The tracked values, generation-ordered (every generation the
-    /// series appears in, unfiltered).
+    /// The tracked values, generation-ordered.
     pub values: Vec<f64>,
     /// The latest tracked value.
     pub latest: f64,
@@ -587,9 +574,8 @@ pub struct HistorySeries {
 /// The outcome of the N-generation analysis.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistoryTrend {
-    /// Ledger generations analyzed.
-    pub generations: usize,
-    /// Every series, key-ordered.
+    /// Every series in dashboard order: pipeline sections, then bench
+    /// sections, each by name; within a section, by first appearance.
     pub series: Vec<HistorySeries>,
 }
 
@@ -606,127 +592,73 @@ pub fn median(values: &[f64]) -> f64 {
     }
 }
 
-/// Matches series across the ledger's generations and classifies each
-/// one: the latest tracked value against the median of the up-to-`window`
-/// preceding generations, regressed/improved beyond
-/// `max_regression_pct`, flat within it.
-pub fn analyze(entries: &[LedgerEntry], opts: &TrendOptions) -> HistoryTrend {
-    // Generation-ordered (host_key, tracked) observations per series key.
-    let mut observed: BTreeMap<String, Vec<(String, f64)>> = BTreeMap::new();
+/// Matches series across the ledger's generations, groups them per
+/// dashboard section and classifies each one: the latest tracked value
+/// against the median of the up-to-[`TREND_WINDOW`] preceding
+/// generations, regressed/improved beyond [`MAX_REGRESSION_PCT`], flat
+/// within it.
+pub fn analyze(entries: &[LedgerEntry]) -> HistoryTrend {
+    // (id, key, generation-ordered tracked values) per section, in
+    // first-appearance order within the section.
+    type SectionSeries = Vec<(String, String, Vec<f64>)>;
+    let mut sections: BTreeMap<(EntryKind, String), SectionSeries> = BTreeMap::new();
     for entry in entries {
-        let host_key = entry.host.key();
+        let section = match entry.kind {
+            EntryKind::Pipeline => format!("{} ({} tier)", entry.source, entry.tier),
+            EntryKind::Bench => entry.source.clone(),
+        };
+        let series = sections.entry((entry.kind, section)).or_default();
         for point in &entry.rows {
-            observed
-                .entry(series_key(entry, &point.id))
-                .or_default()
-                .push((host_key.clone(), point.tracked()));
+            match series.iter_mut().find(|(id, _, _)| *id == point.id) {
+                Some((_, _, values)) => values.push(point.tracked()),
+                None => series.push((
+                    point.id.clone(),
+                    series_key(entry, &point.id),
+                    vec![point.tracked()],
+                )),
+            }
         }
     }
-    let series = observed
+    let series = sections
         .into_iter()
-        .map(|(key, obs)| {
-            let values: Vec<f64> = obs.iter().map(|(_, v)| *v).collect();
-            let (latest_host, latest) = obs.last().expect("series observed at least once").clone();
-            let prior: Vec<f64> = obs[..obs.len() - 1]
-                .iter()
-                .filter(|(host, _)| !opts.same_host || *host == latest_host)
-                .map(|(_, v)| *v)
-                .collect();
-            let window: &[f64] = &prior[prior.len().saturating_sub(opts.window.max(1))..];
-            let baseline = (!window.is_empty()).then(|| median(window));
-            let delta_pct = baseline
-                .filter(|b| *b > 0.0)
-                .map(|b| (latest / b - 1.0) * 100.0);
-            let class = match delta_pct {
-                None => SeriesClass::New,
-                Some(d) if d < -opts.max_regression_pct => SeriesClass::Regressed,
-                Some(d) if d > opts.max_regression_pct => SeriesClass::Improved,
-                Some(_) => SeriesClass::Flat,
-            };
-            HistorySeries {
-                key,
-                values,
-                latest,
-                baseline,
-                delta_pct,
-                class,
-            }
+        .flat_map(|((kind, section), series)| {
+            series.into_iter().map(move |(id, key, values)| {
+                let (&latest, prior) = values.split_last().expect("series observed at least once");
+                let window = &prior[prior.len().saturating_sub(TREND_WINDOW)..];
+                let baseline = (!window.is_empty()).then(|| median(window));
+                let delta_pct = baseline
+                    .filter(|b| *b > 0.0)
+                    .map(|b| (latest / b - 1.0) * 100.0);
+                let class = match delta_pct {
+                    None => SeriesClass::New,
+                    Some(d) if d < -MAX_REGRESSION_PCT => SeriesClass::Regressed,
+                    Some(d) if d > MAX_REGRESSION_PCT => SeriesClass::Improved,
+                    Some(_) => SeriesClass::Flat,
+                };
+                HistorySeries {
+                    kind,
+                    section: section.clone(),
+                    id,
+                    key,
+                    values,
+                    latest,
+                    baseline,
+                    delta_pct,
+                    class,
+                }
+            })
         })
         .collect();
-    HistoryTrend {
-        generations: entries.len(),
-        series,
-    }
+    HistoryTrend { series }
 }
 
 impl HistoryTrend {
-    /// The regressed series — non-empty fails `repro trend --history`.
+    /// The regressed series — non-empty fails `repro dashboard`.
     pub fn regressed(&self) -> Vec<&HistorySeries> {
         self.series
             .iter()
             .filter(|s| s.class == SeriesClass::Regressed)
             .collect()
-    }
-
-    /// Renders the analysis: regressions first, then by |delta|
-    /// descending, ties by key; plus the classification summary line.
-    pub fn render(&self, opts: &TrendOptions) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "history trend: {} generation(s), {} series, window {}, tolerance {}%{}\n",
-            self.generations,
-            self.series.len(),
-            opts.window,
-            opts.max_regression_pct,
-            if opts.same_host {
-                " (same-host baselines only)"
-            } else {
-                ""
-            }
-        ));
-        out.push_str(&format!(
-            "{:<52}{:>12}{:>12}{:>9}  {:<10}{}\n",
-            "series", "latest", "median", "delta", "class", "trend"
-        ));
-        let mut sorted: Vec<&HistorySeries> = self.series.iter().collect();
-        sorted.sort_by(|a, b| {
-            let sev = |s: &HistorySeries| match s.class {
-                SeriesClass::Regressed => 0,
-                _ => 1,
-            };
-            sev(a)
-                .cmp(&sev(b))
-                .then_with(|| {
-                    b.delta_pct
-                        .unwrap_or(0.0)
-                        .abs()
-                        .partial_cmp(&a.delta_pct.unwrap_or(0.0).abs())
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .then_with(|| a.key.cmp(&b.key))
-        });
-        for s in sorted {
-            out.push_str(&format!(
-                "{:<52}{:>12}{:>12}{:>9}  {:<10}{}\n",
-                s.key,
-                format_metric(s.latest),
-                s.baseline.map(format_metric).unwrap_or_else(|| "-".into()),
-                s.delta_pct
-                    .map(|d| format!("{d:+.1}%"))
-                    .unwrap_or_else(|| "-".into()),
-                s.class.label(),
-                sparkline(&s.values),
-            ));
-        }
-        let count = |c: SeriesClass| self.series.iter().filter(|s| s.class == c).count();
-        out.push_str(&format!(
-            "{} regressed, {} improved, {} flat, {} new\n",
-            count(SeriesClass::Regressed),
-            count(SeriesClass::Improved),
-            count(SeriesClass::Flat),
-            count(SeriesClass::New),
-        ));
-        out
     }
 }
 
@@ -773,20 +705,31 @@ pub fn format_metric(v: f64) -> String {
     }
 }
 
-/// Renders the ledger into the committed dashboard markdown: the
-/// generation log, then one sparkline table per pipeline (headroom) and
-/// per bench suite (throughput). A pure function of the ledger — given
+/// Renders the ledger's [`analyze`] result into the committed dashboard
+/// markdown: the generation log, then one sparkline table per pipeline
+/// (headroom) and per bench suite (throughput), each series with its
+/// window median, delta and class. A pure function of the ledger — given
 /// the same `HISTORY.jsonl` the output is byte-identical, which is the
 /// CI diff contract for the committed `DASHBOARD.md`.
-pub fn render_dashboard(ledger: &Ledger) -> String {
-    let mut md = String::from(
+pub fn render_dashboard(ledger: &Ledger, trend: &HistoryTrend) -> String {
+    let count = |c: SeriesClass| trend.series.iter().filter(|s| s.class == c).count();
+    let mut md = format!(
         "# Perf trajectory\n\n\
          Rendered from the append-only run ledger `HISTORY.jsonl` — regenerate with\n\
          `cargo run --release --bin repro -- dashboard` (byte-identical given the same\n\
          ledger; timestamps come from the ledger lines, never from the render clock).\n\
          Pipeline tables track **bound headroom** (`bound / measured`, higher = more\n\
          comfortable); bench tables track **throughput**. Sparklines are min–max\n\
-         normalized per series, oldest generation leftmost.\n",
+         normalized per series, oldest generation leftmost. Each series' latest value\n\
+         is compared with the median of its up to {TREND_WINDOW} preceding generations: more than\n\
+         {MAX_REGRESSION_PCT}% below it is `REGRESSED` (and `repro dashboard` exits 1), more than\n\
+         {MAX_REGRESSION_PCT}% above it `improved`, within it `flat`; a series with no earlier\n\
+         generation is `new`.\n\n\
+         **{} regressed, {} improved, {} flat, {} new.**\n",
+        count(SeriesClass::Regressed),
+        count(SeriesClass::Improved),
+        count(SeriesClass::Flat),
+        count(SeriesClass::New),
     );
     if !ledger.skipped.is_empty() {
         md.push_str(&format!(
@@ -819,45 +762,34 @@ pub fn render_dashboard(ledger: &Ledger) -> String {
         ));
     }
 
-    // Series grouped per (kind, source, tier-for-pipelines) section, in
-    // first-appearance order within the group: id -> tracked values.
-    type SeriesInGroup = Vec<(String, Vec<f64>)>;
-    let mut groups: BTreeMap<(u8, String), SeriesInGroup> = BTreeMap::new();
-    for entry in &ledger.entries {
-        let group_key = match entry.kind {
-            EntryKind::Pipeline => (0u8, format!("{} ({} tier)", entry.source, entry.tier)),
-            EntryKind::Bench => (1u8, entry.source.clone()),
+    for section in trend
+        .series
+        .chunk_by(|a, b| (a.kind, &a.section) == (b.kind, &b.section))
+    {
+        let (heading, value_col) = match section[0].kind {
+            EntryKind::Pipeline => ("Pipeline headroom", "latest headroom"),
+            EntryKind::Bench => ("Bench throughput", "latest throughput"),
         };
-        let group = groups.entry(group_key).or_default();
-        for point in &entry.rows {
-            match group.iter_mut().find(|(id, _)| *id == point.id) {
-                Some((_, values)) => values.push(point.tracked()),
-                None => group.push((point.id.clone(), vec![point.tracked()])),
-            }
-        }
-    }
-    for ((kind_rank, title), series) in groups {
-        let (heading, value_col) = if kind_rank == 0 {
-            ("Pipeline headroom", "latest headroom")
-        } else {
-            ("Bench throughput", "latest throughput")
-        };
-        md.push_str(&format!("\n## {heading} — {title}\n\n"));
+        md.push_str(&format!("\n## {heading} — {}\n\n", section[0].section));
         md.push_str(&format!(
-            "| series | gens | {value_col} | min | max | trend |\n"
+            "| series | gens | {value_col} | window median | delta | class | min | max | trend |\n"
         ));
-        md.push_str("|---|--:|--:|--:|--:|---|\n");
-        for (id, values) in series {
-            let min = values.iter().copied().fold(f64::INFINITY, f64::min);
-            let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        md.push_str("|---|--:|--:|--:|--:|---|--:|--:|---|\n");
+        for s in section {
+            let min = s.values.iter().copied().fold(f64::INFINITY, f64::min);
+            let max = s.values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             md.push_str(&format!(
-                "| `{}` | {} | {} | {} | {} | {} |\n",
-                id,
-                values.len(),
-                format_metric(*values.last().expect("non-empty series")),
+                "| `{}` | {} | {} | {} | {} | {} | {} | {} | {} |\n",
+                s.id,
+                s.values.len(),
+                format_metric(s.latest),
+                s.baseline.map_or_else(|| "-".into(), format_metric),
+                s.delta_pct
+                    .map_or_else(|| "-".into(), |d| format!("{d:+.1}%")),
+                s.class.label(),
                 format_metric(min),
                 format_metric(max),
-                sparkline(&values)
+                sparkline(&s.values)
             ));
         }
     }
@@ -953,7 +885,7 @@ mod tests {
             .collect();
         entries.push(bench_entry("kernel", &[("n=16", 60.0), ("n=64", 51.0)], 1));
         entries.push(bench_entry("other", &[("n=99", 1.0)], 1));
-        let trend = analyze(&entries, &TrendOptions::default());
+        let trend = analyze(&entries);
         let by_key = |k: &str| {
             trend
                 .series
@@ -968,49 +900,33 @@ mod tests {
         assert_eq!(by_key("kernel/n=64").class, SeriesClass::Flat);
         assert_eq!(by_key("other/n=99").class, SeriesClass::New);
         assert_eq!(trend.regressed().len(), 1);
-        let rendered = trend.render(&TrendOptions::default());
-        assert!(rendered.contains("kernel/n=16"));
-        assert!(rendered.contains("REGRESSED"));
-        assert!(rendered.contains("1 regressed"));
+        let ledger = Ledger {
+            entries,
+            skipped: Vec::new(),
+        };
+        let rendered = render_dashboard(&ledger, &trend);
+        assert!(rendered.contains("| `n=16` | 5 | 60.00 | 100 | -40.0% | REGRESSED |"));
+        assert!(rendered.contains("| `n=99` | 1 | 1.00 | - | - | new |"));
+        assert!(rendered.contains("**1 regressed, 0 improved, 1 flat, 1 new.**"));
     }
 
     #[test]
     fn analyze_window_limits_the_baseline() {
-        // Ancient fast generations fall out of a window of 2: the median
-        // baseline is taken over the recent slow ones, so latest is flat.
-        let mut entries: Vec<LedgerEntry> = (0..3)
-            .map(|_| bench_entry("kernel", &[("n=16", 1000.0)], 1))
-            .collect();
-        entries.extend((0..3).map(|_| bench_entry("kernel", &[("n=16", 100.0)], 1)));
-        let opts = TrendOptions {
-            window: 2,
-            ..TrendOptions::default()
+        // Three fast generations, then slow ones: once the slow ones fill
+        // the window, the median baseline is taken over them alone and the
+        // latest is flat. With fewer, the fast era is still in the window
+        // and the drop is flagged.
+        let run = |slow: usize| {
+            let mut entries: Vec<LedgerEntry> = (0..3)
+                .map(|_| bench_entry("kernel", &[("n=16", 1000.0)], 1))
+                .collect();
+            entries.extend((0..slow).map(|_| bench_entry("kernel", &[("n=16", 100.0)], 1)));
+            analyze(&entries).series[0].clone()
         };
-        let trend = analyze(&entries, &opts);
-        assert_eq!(trend.series[0].class, SeriesClass::Flat);
-        assert_eq!(trend.series[0].baseline, Some(100.0));
-        // The full-history window sees the fast era and flags the drop.
-        let wide = analyze(&entries, &TrendOptions::default());
-        assert_eq!(wide.series[0].class, SeriesClass::Regressed);
-    }
-
-    #[test]
-    fn same_host_filter_restricts_baselines() {
-        let entries = vec![
-            bench_entry("kernel", &[("n=16", 1000.0)], 8),
-            bench_entry("kernel", &[("n=16", 100.0)], 1),
-        ];
-        let strict = TrendOptions {
-            same_host: true,
-            ..TrendOptions::default()
-        };
-        // Same-host: the 8-thread generation is not a comparable baseline.
-        assert_eq!(analyze(&entries, &strict).series[0].class, SeriesClass::New);
-        // Cross-host default: it is, and the drop is flagged.
-        assert_eq!(
-            analyze(&entries, &TrendOptions::default()).series[0].class,
-            SeriesClass::Regressed
-        );
+        let settled = run(TREND_WINDOW + 1);
+        assert_eq!(settled.class, SeriesClass::Flat);
+        assert_eq!(settled.baseline, Some(100.0));
+        assert_eq!(run(3).class, SeriesClass::Regressed);
     }
 
     #[test]
@@ -1050,8 +966,9 @@ mod tests {
                 error: "bad".to_string(),
             }],
         };
-        let a = render_dashboard(&ledger);
-        let b = render_dashboard(&ledger);
+        let trend = analyze(&ledger.entries);
+        let a = render_dashboard(&ledger, &trend);
+        let b = render_dashboard(&ledger, &trend);
         assert_eq!(a, b);
         assert!(a.contains("▁█"), "sparkline rendered: {a}");
         assert!(a.contains("corrupt ledger line"));

@@ -57,7 +57,6 @@ pub const GRID_K: usize = 4;
 pub fn grid_dimensions(tier: Tier) -> (&'static [u64], u64, u64) {
     match tier {
         Tier::Smoke => (&[8, 16], 16, 3),
-        Tier::Quick => (&[8, 16, 32], 48, 4),
         Tier::Full => (&[8, 16, 32, 64, 128], 256, 6),
     }
 }
@@ -230,7 +229,7 @@ pub mod table1 {
     /// `pair_period` section and returns its markdown table rows.
     fn pair_period_section(artifact: &mut Artifact) -> String {
         let ns: &[u64] = match artifact.tier() {
-            Tier::Smoke | Tier::Quick => &[4, 1 << 8, 1 << 16],
+            Tier::Smoke => &[4, 1 << 8, 1 << 16],
             Tier::Full => &[4, 1 << 4, 1 << 8, 1 << 16, 1 << 32, 1 << 62],
         };
         let (mut rows, mut md_rows) = (Vec::new(), String::new());
@@ -403,7 +402,6 @@ pub mod lower {
     fn shift_dimensions(tier: Tier) -> (u64, u64) {
         match tier {
             Tier::Smoke => (256, 16),
-            Tier::Quick => (1024, 48),
             Tier::Full => (4096, 256),
         }
     }
@@ -489,7 +487,6 @@ pub mod lower {
     fn exact_section(artifact: &mut Artifact) -> Vec<Value> {
         let (max_n_sync, budget) = match artifact.tier() {
             Tier::Smoke => (5u64, 1u64 << 22),
-            Tier::Quick => (6, 1 << 24),
             Tier::Full => (8, 1 << 26),
         };
         let max_n_cyclic = 3; // n = 4 already needs a cyclic period > 2^6
@@ -534,7 +531,6 @@ pub mod lower {
     fn pigeonhole_section(artifact: &mut Artifact) -> Vec<Value> {
         let n = match artifact.tier() {
             Tier::Smoke => 16u64,
-            Tier::Quick => 32,
             Tier::Full => 64,
         };
         let mut rows = Vec::new();
@@ -590,7 +586,6 @@ pub mod lower {
         let n = 24u64;
         let grid: &[(usize, usize)] = match artifact.tier() {
             Tier::Smoke => &[(2, 2), (3, 3)],
-            Tier::Quick => &[(2, 2), (2, 4), (3, 3), (4, 4)],
             Tier::Full => &[(2, 2), (2, 4), (3, 3), (4, 4), (4, 6), (6, 6)],
         };
         let family =
@@ -654,7 +649,6 @@ pub mod lower {
         ]));
         let ns: &[u64] = match artifact.tier() {
             Tier::Smoke => &[4, 8],
-            Tier::Quick => &[4, 8, 16],
             Tier::Full => &[4, 8, 16, 32],
         };
         for &n in ns {
@@ -774,7 +768,6 @@ pub mod sdp {
         ];
         let extra = match tier {
             Tier::Smoke => 2,
-            Tier::Quick => 4,
             Tier::Full => 6,
         };
         for i in 0..extra {
@@ -932,19 +925,10 @@ pub mod faults {
         Algorithm::AcsHopping,
     ];
 
-    /// A deliberate failure injected by CI and the degradation tests: the
-    /// cell at `poison_cell` (a position in grid, i.e. artifact row,
-    /// order) panics, exercising the panic quarantine end to end.
-    #[derive(Debug, Clone, Copy, Default)]
-    pub struct Sabotage {
-        /// Cell index that panics mid-evaluation.
-        pub poison_cell: Option<usize>,
-    }
-
-    impl Sabotage {
-        /// No injected failure — the committed-artifact configuration.
-        pub const NONE: Sabotage = Sabotage { poison_cell: None };
-    }
+    /// The cell (a position in grid, i.e. artifact row, order) a sabotaged
+    /// run panics in. Fixed, so the degraded artifact — and CI's
+    /// exit-code check against it — is deterministic.
+    const POISON_CELL: usize = 1;
 
     /// One cell of the fault grid.
     struct FaultCell {
@@ -960,7 +944,6 @@ pub mod faults {
     fn fault_dimensions(tier: Tier) -> (&'static [usize], u64) {
         match tier {
             Tier::Smoke => (&[16], 4_096),
-            Tier::Quick => (&[16, 32], 8_192),
             Tier::Full => (&[16, 32, 64], 16_384),
         }
     }
@@ -1095,15 +1078,16 @@ pub mod faults {
         ])
     }
 
-    /// Runs the pipeline at `tier` on `threads` workers (0 = auto) with
-    /// deliberate `sabotage` failures (use [`Sabotage::NONE`] for real
-    /// runs) and returns the artifact pair; the caller writes it and maps
-    /// a non-empty `failed_cells` to the degraded exit code.
+    /// Runs the pipeline at `tier` on `threads` workers (0 = auto) and
+    /// returns the artifact pair; the caller writes it and maps a
+    /// non-empty `failed_cells` to the degraded exit code. With `sabotage`
+    /// (CI and the degradation tests; `false` for real runs) cell 1
+    /// deliberately panics, exercising the panic quarantine end to end.
     pub fn run(
         tier: Tier,
         threads: usize,
         profile: &FaultProfile,
-        sabotage: Sabotage,
+        sabotage: bool,
     ) -> PipelineOutput {
         let (_, horizon) = fault_dimensions(tier);
         let grid = cells(tier, profile);
@@ -1135,7 +1119,7 @@ pub mod faults {
             &ParallelConfig { threads },
             |idx, cell| {
                 pool::quarantine(|| {
-                    if sabotage.poison_cell == Some(idx) {
+                    if sabotage && idx == POISON_CELL {
                         panic!("deliberately poisoned cell: {}", cell.id);
                     }
                     eval_cell(cell, profile, horizon)

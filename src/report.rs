@@ -34,8 +34,6 @@ pub const PAPER: &str = "Chen, Russell, Samanta, Sundaram — Deterministic Blin
 pub enum Tier {
     /// The full paper-scale grids.
     Full,
-    /// Smaller grids, same shapes.
-    Quick,
     /// The minutes-scale CI tier: the smallest grids that still cross
     /// every algorithm × timing × scenario cell.
     Smoke,
@@ -46,7 +44,6 @@ impl Tier {
     pub fn name(self) -> &'static str {
         match self {
             Tier::Full => "full",
-            Tier::Quick => "quick",
             Tier::Smoke => "smoke",
         }
     }

@@ -7,7 +7,7 @@
 //! and usage errors.
 
 use blind_rendezvous::history::{
-    self, analyze, EntryKind, HostFingerprint, LedgerEntry, SeriesClass, SeriesPoint, TrendOptions,
+    self, analyze, EntryKind, HostFingerprint, LedgerEntry, SeriesClass, SeriesPoint,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -126,8 +126,8 @@ fn corrupt_lines_are_isolated_not_fatal() {
         "corrupt lines reported by line number"
     );
     // The analysis still runs over the surviving generations.
-    let trend = analyze(&ledger.entries, &TrendOptions::default());
-    assert_eq!(trend.generations, 2);
+    let trend = analyze(&ledger.entries);
+    assert_eq!(trend.series[0].values, vec![1.0, 2.0]);
 }
 
 #[test]
@@ -321,11 +321,11 @@ fn synthetic_regression_is_detected_in_process() {
     synthetic_regression_ledger(&path);
     let ledger = history::read(&path).expect("read");
     assert_eq!(ledger.entries.len(), 10, "5 bench + 5 pipeline generations");
-    let trend = analyze(&ledger.entries, &TrendOptions::default());
+    let trend = analyze(&ledger.entries);
     let regressed = trend.regressed();
     assert_eq!(regressed.len(), 1, "exactly the injected series");
     assert_eq!(regressed[0].key, "kernel/n=16");
-    // Latest 40 vs median-of-window 101: −60.4%.
+    // Latest 40 vs median-of-window 101.5: −60.6%.
     assert!(regressed[0].delta_pct.unwrap() < -55.0);
     // The headroom series tracks bound/measured and stays flat.
     let headroom = trend
@@ -341,9 +341,13 @@ fn synthetic_regression_is_detected_in_process() {
 fn repro_trend_history_exits_nonzero_and_names_the_regression() {
     let path = scratch("synthetic_cli.jsonl");
     synthetic_regression_ledger(&path);
+    let dashboard = scratch("synthetic_cli.md");
+    let _ = std::fs::remove_file(&dashboard);
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["trend", "--history"])
+        .args(["dashboard", "--history"])
         .arg(&path)
+        .arg("--out")
+        .arg(&dashboard)
         .output()
         .expect("run repro");
     assert_eq!(
@@ -354,25 +358,34 @@ fn repro_trend_history_exits_nonzero_and_names_the_regression() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stdout.contains("kernel/n=16"), "table names it: {stdout}");
-    assert!(stdout.contains("REGRESSED"), "classified: {stdout}");
     assert!(
-        stderr.contains("PERF REGRESSION: kernel/n=16"),
+        stdout.contains("| `n=16` | 5 | 40.00 | 102 | -60.6% | REGRESSED |"),
+        "the echoed table names and classifies it: {stdout}"
+    );
+    assert!(
+        stdout.contains("**1 regressed, 0 improved, 3 flat, 0 new.**"),
+        "summary: {stdout}"
+    );
+    assert!(
+        stderr.contains(
+            "PERF REGRESSION: kernel/n=16 at 40.00 vs window median 102 (-60.6%, tolerance -30%)"
+        ),
         "gate line names the offending series: {stderr}"
     );
-    assert!(stdout.contains("1 regressed"), "summary: {stdout}");
+    let written = std::fs::read_to_string(&dashboard).expect("written before the gate exits");
+    assert!(stdout.contains(&written), "stdout echoes the written file");
 
-    // A window confined to the post-regression generation is flat — and
-    // the exit goes green, proving the flag reaches the analysis.
+    // A ledger whose latest generation is within tolerance goes green.
     let healthy = scratch("synthetic_cli_healthy.jsonl");
     let _ = std::fs::remove_file(&healthy);
     for v in [100.0, 101.0, 99.0] {
         history::append(&healthy, &generation("kernel", &[("n=16", v)])).expect("append");
     }
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["trend", "--history"])
+        .args(["dashboard", "--history"])
         .arg(&healthy)
-        .args(["--window", "2", "--max-regression-pct", "10"])
+        .arg("--out")
+        .arg(scratch("synthetic_cli_healthy.md"))
         .output()
         .expect("run repro");
     assert_eq!(
@@ -382,24 +395,24 @@ fn repro_trend_history_exits_nonzero_and_names_the_regression() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // Values that would disable or distort the gate are usage errors: a
-    // NaN tolerance classifies nothing, a negative one fails every flat
-    // series, and a zero window is not a window.
-    for (flag, value) in [
-        ("--max-regression-pct", "nan"),
-        ("--max-regression-pct", "inf"),
-        ("--max-regression-pct", "-5"),
-        ("--window", "0"),
+    // The window and tolerance are fixed: the flags that set them (and the
+    // same-host baseline filter) are gone and exit 2 before any output.
+    for extra in [
+        &["--window", "2"][..],
+        &["--max-regression-pct", "10"],
+        &["--same-host"],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args(["trend", "--history"])
+            .args(["dashboard", "--history"])
             .arg(&path)
-            .args([flag, value])
+            .arg("--out")
+            .arg(scratch("synthetic_cli_flags.md"))
+            .args(extra)
             .output()
             .expect("run repro");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
-        assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
+        assert_eq!(out.status.code(), Some(2), "{extra:?}: {stderr}");
+        assert!(stderr.contains(extra[0]), "{extra:?}: {stderr}");
     }
 }
 
@@ -415,7 +428,7 @@ fn repro_dashboard_is_byte_deterministic() {
             .arg(out)
             .status()
             .expect("run repro dashboard");
-        assert!(status.success());
+        assert_eq!(status.code(), Some(1), "the synthetic ledger regresses");
         std::fs::read_to_string(out).expect("dashboard written")
     };
     let a = render(&scratch("dash_a.md"));
@@ -432,6 +445,27 @@ fn repro_dashboard_is_byte_deterministic() {
         !a.contains("render clock error"),
         "timestamps come from ledger lines"
     );
+}
+
+#[test]
+fn dashboard_of_an_unreadable_ledger_exits_2_and_writes_nothing() {
+    // A gate that read no generation must not pass, nor leave a dashboard
+    // behind that looks like a verdict.
+    let ledger = scratch("all_corrupt.jsonl");
+    std::fs::write(&ledger, "not json\n{\"kind\":\"bench\"}\n").expect("write ledger");
+    let out_path = scratch("all_corrupt.md");
+    let _ = std::fs::remove_file(&out_path);
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["dashboard", "--history"])
+        .arg(&ledger)
+        .arg("--out")
+        .arg(&out_path)
+        .output()
+        .expect("run repro dashboard");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("no readable generations"), "{stderr}");
+    assert!(!out_path.exists(), "nothing is written");
 }
 
 #[test]
@@ -456,34 +490,14 @@ fn committed_dashboard_regenerates_from_committed_ledger() {
 }
 
 #[test]
-fn two_artifact_trend_is_a_usage_error() {
-    // The ledger is the only trend source: `repro trend OLD NEW` without
-    // `--history` exits 2 with the usage line.
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .arg("trend")
-        .arg(root.join("REPRO_table1.json"))
-        .arg(root.join("REPRO_table1.json"))
-        .output()
-        .expect("run repro trend");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("usage: repro trend --history"),
-        "usage is printed"
-    );
-}
-
-#[test]
 fn committed_ledger_gates_every_committed_bench_point() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let ledger = history::read(&root.join("HISTORY.jsonl")).expect("committed ledger");
     assert!(ledger.skipped.is_empty());
-    // CI's window and tolerance.
-    let opts = TrendOptions::default();
     let with = |entry: &LedgerEntry| {
         let mut entries = ledger.entries.clone();
         entries.push(entry.clone());
-        analyze(&entries, &opts)
+        analyze(&entries)
     };
     for file in [
         "BENCH_kernel.json",
@@ -669,7 +683,9 @@ fn repro_argument_errors_exit_2() {
         (&["--smoke", "--out-dir", "--smoke", "sdp"], "--out-dir"),
         (&["--smoke", "lower", "--faults", "light"], "--faults"),
         (&["--smoke", "table1", "--sabotage"], "--sabotage"),
+        // One tier flag: the quick tier is gone.
         (&["--smoke", "--quick", "sdp"], "--quick"),
+        (&["--quick", "sdp"], "--quick"),
         // Pipelines keep no resume state: the journal flags are unknown.
         (
             &["--smoke", "table1", "--checkpoint", "t.ckpt"],
@@ -685,9 +701,11 @@ fn repro_argument_errors_exit_2() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains(names), "{args:?} names {names}: {stderr}");
     }
-    // The console experiments and the one-time ledger backfill are gone:
-    // `all` runs the artifact pipelines.
+    // The console experiments, the one-time ledger backfill and the trend
+    // command (`dashboard` is the ledger's one reader) are gone: `all` runs
+    // the artifact pipelines.
     for name in [
+        "trend",
         "history-import",
         "table1-asym",
         "table1-sym",

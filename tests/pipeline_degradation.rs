@@ -5,16 +5,13 @@
 //! across worker thread counts. `repro` reports the quarantined panic
 //! once, as its `FAILED CELL` line.
 
-use blind_rendezvous::pipelines::faults::{self, Sabotage};
+use blind_rendezvous::pipelines::faults;
 use blind_rendezvous::report::Tier;
 use rdv_core::fault::FaultProfile;
 use std::process::Command;
 
-/// The sabotage configuration `repro --sabotage` and CI use: cell 1
-/// panics.
-const SABOTAGE: Sabotage = Sabotage {
-    poison_cell: Some(1),
-};
+/// `repro --sabotage` and CI's configuration: cell 1 panics.
+const SABOTAGE: bool = true;
 
 #[test]
 fn sabotaged_grid_degrades_to_a_partial_artifact() {
@@ -80,7 +77,7 @@ fn sabotaged_artifact_is_byte_identical_across_thread_counts() {
 #[test]
 fn clean_grid_has_no_failed_cells_and_keeps_every_row() {
     let profile = FaultProfile::named("light").expect("committed profile");
-    let out = faults::run(Tier::Smoke, 1, profile, Sabotage::NONE);
+    let out = faults::run(Tier::Smoke, 1, profile, false);
     assert!(out.failed_cells.is_empty());
     let rows = out
         .json

@@ -130,10 +130,9 @@ fn faults_pipeline_is_thread_count_invariant_and_matches_committed() {
     // the degraded-robustness artifact carries the same byte-for-byte
     // contract as the fault-free pipelines.
     let profile = rdv_core::fault::FaultProfile::named("light").expect("committed profile");
-    let sabotage = pipelines::faults::Sabotage::NONE;
-    let single = pipelines::faults::run(Tier::Smoke, 1, profile, sabotage);
-    let two = pipelines::faults::run(Tier::Smoke, 2, profile, sabotage);
-    let multi = pipelines::faults::run(Tier::Smoke, 8, profile, sabotage);
+    let single = pipelines::faults::run(Tier::Smoke, 1, profile, false);
+    let two = pipelines::faults::run(Tier::Smoke, 2, profile, false);
+    let multi = pipelines::faults::run(Tier::Smoke, 8, profile, false);
     assert!(
         single.failed_cells.is_empty(),
         "unsabotaged smoke faults pipeline lost cells: {:?}",
@@ -168,13 +167,13 @@ fn trend_reports_movement_between_generations() {
     // A pipeline run recorded twice in the ledger is all-flat; a third
     // generation with one row's measurement doubled (its headroom halved)
     // regresses exactly that row.
-    use blind_rendezvous::history::{self, HostFingerprint, SeriesClass, TrendOptions};
+    use blind_rendezvous::history::{self, HostFingerprint, SeriesClass};
     let out = pipelines::sdp::run(Tier::Smoke, 1);
     let host = HostFingerprint::detect();
     let entry = history::entry_from_artifact(&out.json, "c", &host, "2026-08-08T00:00:00Z")
         .expect("rows exist");
     let mut entries = vec![entry.clone(), entry.clone()];
-    let flat = history::analyze(&entries, &TrendOptions::default());
+    let flat = history::analyze(&entries);
     assert_eq!(flat.series.len(), entry.rows.len());
     assert!(flat
         .series
@@ -184,7 +183,7 @@ fn trend_reports_movement_between_generations() {
     let mut perturbed = entry.clone();
     perturbed.rows[0].value *= 2.0;
     entries.push(perturbed);
-    let moved = history::analyze(&entries, &TrendOptions::default());
+    let moved = history::analyze(&entries);
     let regressed: Vec<&str> = moved.regressed().iter().map(|s| s.key.as_str()).collect();
     assert_eq!(
         regressed,
