@@ -490,6 +490,27 @@ fn committed_dashboard_regenerates_from_committed_ledger() {
 }
 
 #[test]
+fn two_artifact_trend_is_a_usage_error() {
+    // The ledger is the only trend source and `dashboard` its one reader:
+    // `repro trend OLD NEW` names the unknown command, exits 2 and prints
+    // nothing that could pass for a verdict.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("trend")
+        .arg(root.join("REPRO_table1.json"))
+        .arg(root.join("REPRO_table1.json"))
+        .output()
+        .expect("run repro trend");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("unknown experiment \"trend\""),
+        "the command is named: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "no table is printed");
+}
+
+#[test]
 fn committed_ledger_gates_every_committed_bench_point() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let ledger = history::read(&root.join("HISTORY.jsonl")).expect("committed ledger");
@@ -701,11 +722,9 @@ fn repro_argument_errors_exit_2() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains(names), "{args:?} names {names}: {stderr}");
     }
-    // The console experiments, the one-time ledger backfill and the trend
-    // command (`dashboard` is the ledger's one reader) are gone: `all` runs
-    // the artifact pipelines.
+    // The console experiments and the one-time ledger backfill are gone:
+    // `all` runs the artifact pipelines.
     for name in [
-        "trend",
         "history-import",
         "table1-asym",
         "table1-sym",
