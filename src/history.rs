@@ -912,12 +912,13 @@ mod tests {
 
     #[test]
     fn analyze_window_limits_the_baseline() {
-        // Three fast generations, then slow ones: once the slow ones fill
-        // the window, the median baseline is taken over them alone and the
-        // latest is flat. With fewer, the fast era is still in the window
-        // and the drop is flagged.
+        // A fast era twice the window long, then slow generations. Once the
+        // slow ones fill the window, the baseline is their median alone and
+        // the latest is flat; over the whole history the fast majority
+        // would set the baseline and flag it. While the fast era still
+        // holds most of the window, the drop is flagged.
         let run = |slow: usize| {
-            let mut entries: Vec<LedgerEntry> = (0..3)
+            let mut entries: Vec<LedgerEntry> = (0..2 * TREND_WINDOW)
                 .map(|_| bench_entry("kernel", &[("n=16", 1000.0)], 1))
                 .collect();
             entries.extend((0..slow).map(|_| bench_entry("kernel", &[("n=16", 100.0)], 1)));
@@ -926,7 +927,9 @@ mod tests {
         let settled = run(TREND_WINDOW + 1);
         assert_eq!(settled.class, SeriesClass::Flat);
         assert_eq!(settled.baseline, Some(100.0));
-        assert_eq!(run(3).class, SeriesClass::Regressed);
+        let fresh = run(TREND_WINDOW / 2 + 1);
+        assert_eq!(fresh.class, SeriesClass::Regressed);
+        assert_eq!(fresh.baseline, Some(1000.0));
     }
 
     #[test]

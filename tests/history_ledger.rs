@@ -10,14 +10,32 @@ use blind_rendezvous::history::{
     self, analyze, EntryKind, HostFingerprint, LedgerEntry, SeriesClass, SeriesPoint,
 };
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// A unique scratch path per test (the suite runs tests concurrently).
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rdv_history_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir.join(name)
+/// A fresh scratch directory per test (the suite runs tests concurrently),
+/// removed when the guard drops, whether the test passes or panics.
+struct Scratch {
+    dir: PathBuf,
+}
+
+impl Scratch {
+    fn new(test: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("rdv_history_{}_{test}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        Scratch { dir }
+    }
+
+    fn path(&self, name: &str) -> PathBuf {
+        self.dir.join(name)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
 }
 
 fn host(threads: u64) -> HostFingerprint {
@@ -51,8 +69,7 @@ fn generation(source: &str, points: &[(&str, f64)]) -> LedgerEntry {
 /// Builds the synthetic 5-generation ledger of the acceptance criterion:
 /// two healthy series plus one (`kernel/n=16`) regressed in the latest
 /// generation, and a pipeline-style headroom series that stays flat.
-fn synthetic_regression_ledger(path: &PathBuf) {
-    let _ = std::fs::remove_file(path);
+fn synthetic_regression_ledger(path: &Path) {
     for g in 0..5u32 {
         let kernel_16 = if g == 4 { 40.0 } else { 100.0 + f64::from(g) };
         let mut entry = generation(
@@ -85,8 +102,8 @@ fn synthetic_regression_ledger(path: &PathBuf) {
 
 #[test]
 fn ledger_file_round_trips() {
-    let path = scratch("round_trip.jsonl");
-    let _ = std::fs::remove_file(&path);
+    let scratch = Scratch::new("ledger_file_round_trips");
+    let path = scratch.path("round_trip.jsonl");
     let a = generation("kernel", &[("n=16", 1.5), ("n=64", 2.25)]);
     let mut b = generation("multiuser", &[("n_agents=512", 8e9)]);
     b.host = host(8);
@@ -104,8 +121,8 @@ fn ledger_file_round_trips() {
 
 #[test]
 fn corrupt_lines_are_isolated_not_fatal() {
-    let path = scratch("corrupt.jsonl");
-    let _ = std::fs::remove_file(&path);
+    let scratch = Scratch::new("corrupt_lines_are_isolated_not_fatal");
+    let path = scratch.path("corrupt.jsonl");
     history::append(&path, &generation("kernel", &[("n=16", 1.0)])).expect("append");
     // Simulate a torn write plus a wrong-schema line between two good
     // generations.
@@ -134,8 +151,8 @@ fn corrupt_lines_are_isolated_not_fatal() {
 fn deeply_nested_line_is_skipped_and_repaired() {
     // A 200k-deep array once overflowed the parser's stack; it must be one
     // more corrupt line, reported by `fsck` and dropped by `--repair`.
-    let path = scratch("deep_nesting.jsonl");
-    let _ = std::fs::remove_file(&path);
+    let scratch = Scratch::new("deeply_nested_line_is_skipped_and_repaired");
+    let path = scratch.path("deep_nesting.jsonl");
     history::append(&path, &generation("kernel", &[("n=16", 1.0)])).expect("append");
     let mut text = std::fs::read_to_string(&path).expect("read back");
     text.push_str(&"[".repeat(200_000));
@@ -185,8 +202,8 @@ fn repair_is_idempotent_on_overflowing_numbers() {
     // `1e999` overflows f64. Were it parsed as infinity, `--repair` would
     // keep the line and write the value back as `null`, and the next
     // `fsck` would report the rewritten line as corrupt.
-    let path = scratch("overflow.jsonl");
-    let _ = std::fs::remove_file(&path);
+    let scratch = Scratch::new("repair_is_idempotent_on_overflowing_numbers");
+    let path = scratch.path("overflow.jsonl");
     history::append(&path, &generation("kernel", &[("n=16", 7.0)])).expect("append");
     let text = std::fs::read_to_string(&path).expect("read back");
     assert!(text.contains("\"value\":7"), "{text}");
@@ -277,15 +294,8 @@ proptest! {
             1..5,
         ),
     ) {
-        let path = scratch(&format!(
-            "prop_{}.jsonl",
-            shape
-                .iter()
-                .map(|(v, r, t, k)| format!("{v}_{r}_{t}_{k}"))
-                .collect::<Vec<_>>()
-                .join("-")
-        ));
-        let _ = std::fs::remove_file(&path);
+        let scratch = Scratch::new("ledger_round_trip_property");
+        let path = scratch.path("prop.jsonl");
         let entries: Vec<LedgerEntry> = shape
             .iter()
             .enumerate()
@@ -311,13 +321,13 @@ proptest! {
         let ledger = history::read(&path).expect("read");
         prop_assert_eq!(&ledger.entries, &entries);
         prop_assert!(ledger.skipped.is_empty());
-        std::fs::remove_file(&path).expect("cleanup");
     }
 }
 
 #[test]
 fn synthetic_regression_is_detected_in_process() {
-    let path = scratch("synthetic_inproc.jsonl");
+    let scratch = Scratch::new("synthetic_regression_is_detected_in_process");
+    let path = scratch.path("synthetic_inproc.jsonl");
     synthetic_regression_ledger(&path);
     let ledger = history::read(&path).expect("read");
     assert_eq!(ledger.entries.len(), 10, "5 bench + 5 pipeline generations");
@@ -339,10 +349,10 @@ fn synthetic_regression_is_detected_in_process() {
 
 #[test]
 fn repro_trend_history_exits_nonzero_and_names_the_regression() {
-    let path = scratch("synthetic_cli.jsonl");
+    let scratch = Scratch::new("repro_trend_history_exits_nonzero_and_names_the_regression");
+    let path = scratch.path("synthetic_cli.jsonl");
     synthetic_regression_ledger(&path);
-    let dashboard = scratch("synthetic_cli.md");
-    let _ = std::fs::remove_file(&dashboard);
+    let dashboard = scratch.path("synthetic_cli.md");
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(["dashboard", "--history"])
         .arg(&path)
@@ -376,8 +386,7 @@ fn repro_trend_history_exits_nonzero_and_names_the_regression() {
     assert!(stdout.contains(&written), "stdout echoes the written file");
 
     // A ledger whose latest generation is within tolerance goes green.
-    let healthy = scratch("synthetic_cli_healthy.jsonl");
-    let _ = std::fs::remove_file(&healthy);
+    let healthy = scratch.path("synthetic_cli_healthy.jsonl");
     for v in [100.0, 101.0, 99.0] {
         history::append(&healthy, &generation("kernel", &[("n=16", v)])).expect("append");
     }
@@ -385,7 +394,7 @@ fn repro_trend_history_exits_nonzero_and_names_the_regression() {
         .args(["dashboard", "--history"])
         .arg(&healthy)
         .arg("--out")
-        .arg(scratch("synthetic_cli_healthy.md"))
+        .arg(scratch.path("synthetic_cli_healthy.md"))
         .output()
         .expect("run repro");
     assert_eq!(
@@ -406,7 +415,7 @@ fn repro_trend_history_exits_nonzero_and_names_the_regression() {
             .args(["dashboard", "--history"])
             .arg(&path)
             .arg("--out")
-            .arg(scratch("synthetic_cli_flags.md"))
+            .arg(scratch.path("synthetic_cli_flags.md"))
             .args(extra)
             .output()
             .expect("run repro");
@@ -418,21 +427,22 @@ fn repro_trend_history_exits_nonzero_and_names_the_regression() {
 
 #[test]
 fn repro_dashboard_is_byte_deterministic() {
-    let ledger = scratch("dash.jsonl");
+    let scratch = Scratch::new("repro_dashboard_is_byte_deterministic");
+    let ledger = scratch.path("dash.jsonl");
     synthetic_regression_ledger(&ledger);
     let render = |out: &PathBuf| {
-        let status = Command::new(env!("CARGO_BIN_EXE_repro"))
+        let run = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(["dashboard", "--history"])
             .arg(&ledger)
             .arg("--out")
             .arg(out)
-            .status()
+            .output()
             .expect("run repro dashboard");
-        assert_eq!(status.code(), Some(1), "the synthetic ledger regresses");
+        assert_eq!(run.status.code(), Some(1), "the synthetic ledger regresses");
         std::fs::read_to_string(out).expect("dashboard written")
     };
-    let a = render(&scratch("dash_a.md"));
-    let b = render(&scratch("dash_b.md"));
+    let a = render(&scratch.path("dash_a.md"));
+    let b = render(&scratch.path("dash_b.md"));
     assert_eq!(a, b, "two renders of the same ledger diverged");
     assert!(a.contains("## Generations"));
     assert!(a.contains("Pipeline headroom — table1 (smoke tier)"));
@@ -451,10 +461,10 @@ fn repro_dashboard_is_byte_deterministic() {
 fn dashboard_of_an_unreadable_ledger_exits_2_and_writes_nothing() {
     // A gate that read no generation must not pass, nor leave a dashboard
     // behind that looks like a verdict.
-    let ledger = scratch("all_corrupt.jsonl");
+    let scratch = Scratch::new("dashboard_of_an_unreadable_ledger_exits_2_and_writes_nothing");
+    let ledger = scratch.path("all_corrupt.jsonl");
     std::fs::write(&ledger, "not json\n{\"kind\":\"bench\"}\n").expect("write ledger");
-    let out_path = scratch("all_corrupt.md");
-    let _ = std::fs::remove_file(&out_path);
+    let out_path = scratch.path("all_corrupt.md");
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(["dashboard", "--history"])
         .arg(&ledger)
@@ -470,16 +480,21 @@ fn dashboard_of_an_unreadable_ledger_exits_2_and_writes_nothing() {
 
 #[test]
 fn committed_dashboard_regenerates_from_committed_ledger() {
+    let scratch = Scratch::new("committed_dashboard_regenerates_from_committed_ledger");
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let regenerated = scratch("committed_dash.md");
-    let status = Command::new(env!("CARGO_BIN_EXE_repro"))
+    let regenerated = scratch.path("committed_dash.md");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(["dashboard", "--history"])
         .arg(root.join("HISTORY.jsonl"))
         .arg("--out")
         .arg(&regenerated)
-        .status()
+        .output()
         .expect("run repro dashboard");
-    assert!(status.success());
+    assert!(
+        out.status.success(),
+        "the committed ledger must classify 0 regressed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let fresh = std::fs::read_to_string(&regenerated).expect("regenerated dashboard");
     let committed = std::fs::read_to_string(root.join("DASHBOARD.md")).expect("committed copy");
     assert_eq!(
@@ -574,12 +589,12 @@ fn committed_ledger_gates_every_committed_bench_point() {
 
 #[test]
 fn pipeline_run_appends_a_ledger_generation() {
-    let dir = scratch("pipeline_append");
-    let _ = std::fs::remove_dir_all(&dir);
+    let scratch = Scratch::new("pipeline_run_appends_a_ledger_generation");
+    let dir = &scratch.dir;
     let ledger = dir.join("HISTORY.jsonl");
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(["--smoke", "sdp", "--out-dir"])
-        .arg(&dir)
+        .arg(dir)
         .arg("--history")
         .arg(&ledger)
         .env("RDV_COMMIT", "test-sha")
@@ -608,8 +623,8 @@ fn pipeline_run_appends_a_ledger_generation() {
 
 #[test]
 fn bench_speedup_gates_skip_loudly_on_single_core_hosts() {
-    let dir = scratch("bench_single_core");
-    let _ = std::fs::remove_dir_all(&dir);
+    let scratch = Scratch::new("bench_speedup_gates_skip_loudly_on_single_core_hosts");
+    let dir = &scratch.dir;
     let ledger = dir.join("HISTORY.jsonl");
     let out = Command::new(env!("CARGO_BIN_EXE_bench_report"))
         .args([
@@ -622,7 +637,7 @@ fn bench_speedup_gates_skip_loudly_on_single_core_hosts() {
             "999",
             "--out-dir",
         ])
-        .arg(&dir)
+        .arg(dir)
         .arg("--history")
         .arg(&ledger)
         .env("RDV_COMMIT", "bench-sha")
@@ -674,7 +689,7 @@ fn bench_speedup_gates_skip_loudly_on_single_core_hosts() {
     let out = Command::new(env!("CARGO_BIN_EXE_bench_report"))
         .args(["--suite", "tree", "--smoke", "--min-tree-speedup", "999"])
         .arg("--out-dir")
-        .arg(&dir)
+        .arg(dir)
         .output()
         .expect("run bench_report");
     let stdout = String::from_utf8_lossy(&out.stdout);
